@@ -6,8 +6,9 @@ Vertices are integers 0..n-1 internally; graph files are 1-based.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import filterfalse
 
 
 class GraphParseError(ValueError):
@@ -29,6 +30,10 @@ class Tree:
     Despite the name, arbitrary simple graphs are representable; operations
     that need a connected tree (or forest) check and raise explicitly.
     Edges are normalized to (min, max) at construction.
+
+    Derived structures (adjacency, 2-coloring, component count, recognized
+    caterpillar and spider shapes) are computed once, on first use, and
+    cached on the instance; they take no part in ==, hash or repr.
     """
 
     n: int
@@ -55,37 +60,59 @@ class Tree:
     def m(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
+    @cached_property
+    def _adj(self) -> tuple[tuple[int, ...], ...]:
+        adj: list = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        return adj
+        for v, nbrs in enumerate(adj):
+            adj[v] = tuple(nbrs)
+        return tuple(adj)
+
+    @cached_property
+    def _coloring(self) -> tuple[bytes, int, bool]:
+        """(colors, component count, bipartite?) from one traversal; the
+        smallest vertex of each component gets color 0."""
+        adj = self._adj
+        color = bytearray(b"\x02") * self.n  # 2 = not yet reached
+        components = 0
+        bipartite = True
+        root = color.find(2)
+        while root != -1:
+            components += 1
+            color[root] = 0
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                cv = color[v]
+                for u in adj[v]:
+                    cu = color[u]
+                    if cu == 2:
+                        color[u] = 1 - cv
+                        stack.append(u)
+                    elif cu == cv:
+                        bipartite = False
+            root = color.find(2, root + 1)
+        return bytes(color), components, bipartite
+
+    @cached_property
+    def _caterpillar(self) -> CaterpillarShape | None:
+        return _caterpillar_shape(self)
+
+    @cached_property
+    def _spider(self) -> SpiderShape | None:
+        return _spider_shape(self)
+
+    def adjacency(self) -> list[list[int]]:
+        """Neighbor lists; a fresh copy the caller may modify."""
+        return [list(nbrs) for nbrs in self._adj]
 
     def degrees(self) -> list[int]:
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return [len(nbrs) for nbrs in self._adj]
 
     def component_count(self) -> int:
-        adj = self.adjacency()
-        seen = [False] * self.n
-        count = 0
-        for root in range(self.n):
-            if seen[root]:
-                continue
-            count += 1
-            seen[root] = True
-            queue = deque([root])
-            while queue:
-                v = queue.popleft()
-                for u in adj[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        queue.append(u)
-        return count
+        return self._coloring[1]
 
     def is_connected(self) -> bool:
         return self.component_count() == 1
@@ -282,28 +309,37 @@ def recognize_caterpillar(t: Tree) -> CaterpillarShape | None:
     smaller id is the spine vertex, the other its leg.
     """
     _require_connected_tree(t)
+    return t._caterpillar
+
+
+def _caterpillar_shape(t: Tree) -> CaterpillarShape | None:
     if t.n == 1:
         return CaterpillarShape((0,), (0,), ((),))
     if t.n == 2:
         return CaterpillarShape((1,), (0,), ((1,),))
-    adj = t.adjacency()
-    deg = [len(a) for a in adj]
-    spine_set = {v for v in range(t.n) if deg[v] >= 2}
-    inner_deg = {v: sum(1 for u in adj[v] if u in spine_set) for v in spine_set}
-    if any(d > 2 for d in inner_deg.values()):
-        return None
-    if len(spine_set) == 1:
-        spine = [next(iter(spine_set))]
+    adj = t._adj
+    on_spine = [len(nbrs) >= 2 for nbrs in adj]
+    is_spine = on_spine.__getitem__
+    ends = []
+    for v, nbrs in enumerate(adj):
+        if on_spine[v]:
+            inner = sum(map(is_spine, nbrs))
+            if inner > 2:
+                return None
+            if inner == 1:
+                ends.append(v)
+    spine_count = on_spine.count(True)
+    if spine_count == 1:
+        spine = [on_spine.index(True)]
     else:
-        ends = sorted(v for v in spine_set if inner_deg[v] == 1)
         spine = [ends[0]]
         prev = -1
-        while len(spine) < len(spine_set):
+        while len(spine) < spine_count:
             cur = spine[-1]
-            nxt = next(u for u in adj[cur] if u in spine_set and u != prev)
+            nxt = next(u for u in adj[cur] if on_spine[u] and u != prev)
             spine.append(nxt)
             prev = cur
-    legs = tuple(tuple(sorted(u for u in adj[v] if deg[u] == 1)) for v in spine)
+    legs = tuple(tuple(sorted(filterfalse(is_spine, adj[v]))) for v in spine)
     return CaterpillarShape(tuple(len(l) for l in legs), tuple(spine), legs)
 
 
@@ -316,9 +352,12 @@ def recognize_spider(t: Tree) -> SpiderShape | None:
     Single vertices and single edges are rejected.
     """
     _require_connected_tree(t)
-    adj = t.adjacency()
-    deg = [len(a) for a in adj]
-    big = [v for v in range(t.n) if deg[v] >= 3]
+    return t._spider
+
+
+def _spider_shape(t: Tree) -> SpiderShape | None:
+    adj = t._adj
+    big = [v for v, nbrs in enumerate(adj) if len(nbrs) >= 3]
     if len(big) > 1:
         return None
     if len(big) == 1:
@@ -327,16 +366,17 @@ def recognize_spider(t: Tree) -> SpiderShape | None:
         for first in sorted(adj[center]):
             arm = [first]
             prev = center
-            while deg[arm[-1]] == 2:
+            while len(adj[arm[-1]]) == 2:
                 cur = arm[-1]
-                arm.append(next(u for u in adj[cur] if u != prev))
+                a, b = adj[cur]
+                arm.append(b if a == prev else a)
                 prev = cur
             arms.append(tuple(arm))
         return SpiderShape(tuple(len(a) for a in arms), center, tuple(arms))
     # No branch vertex: t is a path. Accept it with p=2 when long enough.
     if t.n < 3:
         return None
-    start = min(v for v in range(t.n) if deg[v] == 1)
+    start = min(v for v, nbrs in enumerate(adj) if len(nbrs) == 1)
     path = [start]
     prev = -1
     while len(path) < t.n:
@@ -420,29 +460,18 @@ def two_coloring(t: Tree) -> tuple[list[int], int]:
     """2-color each component (the smallest vertex of a component gets color
     0). Returns (colors, component count); raises on an odd cycle.
     """
-    adj = t.adjacency()
-    color = [-1] * t.n
-    components = 0
-    for root in range(t.n):
-        if color[root] != -1:
-            continue
-        components += 1
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for u in adj[v]:
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    raise ValueError("graph contains an odd cycle and is not bipartite")
-    return color, components
+    return list(_bipartite_colors(t)), t.component_count()
 
 
 def bipartition_sizes(t: Tree) -> tuple[int, int]:
     """Sizes of the two color classes of a bipartite graph, larger first."""
-    color, _ = two_coloring(t)
-    ones = sum(color)
+    ones = _bipartite_colors(t).count(1)
     sizes = (t.n - ones, ones)
     return (max(sizes), min(sizes))
+
+
+def _bipartite_colors(t: Tree) -> bytes:
+    colors, _, bipartite = t._coloring
+    if not bipartite:
+        raise ValueError("graph contains an odd cycle and is not bipartite")
+    return colors

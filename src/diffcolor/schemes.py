@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .graph import CaterpillarShape, SpiderShape, Tree, bipartition_sizes
 from .labeling import EvaluatedLabeling, Labeling, differential_value
@@ -30,7 +31,6 @@ class SchemeError(RuntimeError):
 class Optimality(enum.Enum):
     PROVED = "proved"
     NOT_PROVED = "not-proved"
-    UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,11 @@ def label_regular_caterpillar(shape: CaterpillarShape) -> SchemeResult:
                    Optimality.PROVED)
 
 
+def _prefix_sums(xs) -> list[int]:
+    """[0, x0, x0 + x1, ...]: entry i is the sum of the first i items."""
+    return list(accumulate(xs, initial=0))
+
+
 def _sorted_path_order(shape: SpiderShape) -> list[int]:
     """Path indices by non-increasing length, stable on ties."""
     return sorted(range(shape.p), key=lambda i: (-shape.path_lengths[i], i))
@@ -138,17 +143,15 @@ def label_spider_all_even(shape: SpiderShape) -> SchemeResult:
     if any(length % 2 for length in shape.path_lengths):
         raise ValueError("all path lengths must be even")
     n_even = shape.n_even
-    evens = [shape.level_count(l) for l in range(2, shape.max_level + 1, 2)]
-    odds = [shape.level_count(l) for l in range(1, shape.max_level + 1, 2)]
+    evens = _prefix_sums(shape.level_count(l) for l in range(2, shape.max_level + 1, 2))
+    odds = _prefix_sums(shape.level_count(l) for l in range(1, shape.max_level + 1, 2))
     labels: dict[int, int] = {shape.center: 1}
     for rank, pi in enumerate(_sorted_path_order(shape), start=1):
         for level, v in enumerate(shape.path_vertices[pi], start=1):
             if level % 2 == 0:
-                i = level // 2
-                labels[v] = 1 + sum(evens[:i - 1]) + rank
+                labels[v] = 1 + evens[level // 2 - 1] + rank
             else:
-                i = (level - 1) // 2
-                labels[v] = n_even + 1 + sum(odds[:i]) + rank
+                labels[v] = n_even + 1 + odds[(level - 1) // 2] + rank
     return _finish("spider-even", shape.to_tree(), labels, n_even, n_even,
                    Optimality.PROVED)
 
@@ -170,17 +173,10 @@ def label_spider_all_odd(shape: SpiderShape) -> SchemeResult:
     ceil_half = (n + 1) // 2
     odds = [shape.level_count(l) for l in range(1, shape.max_level + 1, 2)]
     evens = [shape.level_count(l) for l in range(2, shape.max_level + 1, 2)]
-
-    def prefix(xs, f):
-        acc = [0]
-        for x in xs:
-            acc.append(acc[-1] + f(x))
-        return acc
-
-    odd_floor = prefix(odds, lambda x: x // 2)
-    odd_ceil = prefix(odds, lambda x: (x + 1) // 2)
-    even_floor = prefix(evens, lambda x: x // 2)
-    even_ceil = prefix(evens, lambda x: (x + 1) // 2)
+    odd_floor = _prefix_sums(x // 2 for x in odds)
+    odd_ceil = _prefix_sums((x + 1) // 2 for x in odds)
+    even_floor = _prefix_sums(x // 2 for x in evens)
+    even_ceil = _prefix_sums((x + 1) // 2 for x in evens)
 
     labels: dict[int, int] = {shape.center: ceil_half}
     for rank, pi in enumerate(_sorted_path_order(shape), start=1):
@@ -321,7 +317,11 @@ def _mark_positions(shape: CaterpillarShape) -> _Marking:
 
 def mark_caterpillar(shape: CaterpillarShape) -> MarkingState:
     """Run the marking phase and return the vertex-level group assignment."""
-    pm = _mark_positions(shape)
+    return _marking_state(shape, _mark_positions(shape))
+
+
+def _marking_state(shape: CaterpillarShape, pm: _Marking) -> MarkingState:
+    """Vertex-level groups of a position-level marking, validated."""
     s = shape.s
     spine = shape.spine_vertices
     low_spine, high_spine, low_legs, high_legs = set(), set(), set(), set()
@@ -370,7 +370,7 @@ def label_general_caterpillar(shape: CaterpillarShape) -> SchemeResult:
     n, s = shape.n, shape.s
     spine = shape.spine_vertices
     pm = _mark_positions(shape)
-    mark_caterpillar(shape)  # group-level invariant check; raises on violation
+    _marking_state(shape, pm)  # group-level invariant check; raises on violation
     mid = pm.mid
     ceil_half = (n + 1) // 2
 
@@ -425,11 +425,13 @@ def label_general_caterpillar(shape: CaterpillarShape) -> SchemeResult:
             continue
         labels[spine[j]] = next(low_iter) if pm.low_side[j] else next(high_iter)
 
+    pseudo_legs: dict[int, list[int]] = {}
+    for i, o in pm.pseudo_owner.items():
+        if not pm.in_spine[i]:
+            pseudo_legs.setdefault(o, []).append(spine[i])
+
     def leg_group(owner: int) -> list[int]:
-        group = list(shape.leg_vertices[owner])
-        group.extend(spine[i] for i, o in pm.pseudo_owner.items()
-                     if o == owner and not pm.in_spine[i])
-        return group
+        return [*shape.leg_vertices[owner], *pseudo_legs.get(owner, ())]
 
     low_owners = [j for j in spine_positions if pm.low_side[j]]
     low_owners.sort(key=lambda j: labels[spine[j]])

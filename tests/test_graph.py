@@ -7,6 +7,7 @@ from diffcolor import (CaterpillarShape, GraphParseError, NotATreeError,
                        gen_random_caterpillar, gen_regular_caterpillar,
                        gen_spider, parse_graph, recognize_caterpillar,
                        recognize_spider, write_graph)
+from diffcolor.graph import two_coloring
 from helpers import length_multisets, partitions, path_graph
 
 
@@ -303,3 +304,54 @@ class TestBipartition:
     def test_even_cycle_tolerated(self):
         c4 = Tree(4, ((0, 1), (1, 2), (2, 3), (0, 3)))
         assert bipartition_sizes(c4) == (2, 2)
+
+
+class TestDerivedCache:
+    def test_mutating_adjacency_does_not_leak(self):
+        t, shape = gen_caterpillar([2, 0, 1])
+        fresh = Tree(t.n, t.edges).adjacency()
+        adj = t.adjacency()
+        adj[0].append(5)
+        adj[1].clear()
+        adj.append([0])
+        assert recognize_caterpillar(t) == shape
+        assert t.is_tree()
+        assert t.adjacency() == fresh
+        t.adjacency()[2].clear()
+        assert t.adjacency() == fresh
+
+    def test_caches_stay_out_of_eq_hash_repr(self):
+        a, _ = gen_spider([2, 3, 3])
+        b = Tree(a.n, a.edges)
+        assert a.is_tree()
+        assert recognize_spider(a) is not None
+        assert recognize_caterpillar(a) is None
+        bipartition_sizes(a)
+        assert "_coloring" in a.__dict__ and "_coloring" not in b.__dict__
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert b.is_forest()
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert len({a, b}) == 1
+
+    def test_odd_cycle_raises_every_call(self):
+        cycle = Tree(5, ((0, 1), (1, 2), (0, 2), (3, 4)))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="odd cycle"):
+                two_coloring(cycle)
+            with pytest.raises(ValueError, match="odd cycle"):
+                bipartition_sizes(cycle)
+        assert cycle.component_count() == 2
+        assert not cycle.is_forest()
+
+    def test_recognition_is_shared(self):
+        t, _ = gen_caterpillar([1, 0, 2])
+        assert recognize_caterpillar(t) is recognize_caterpillar(t)
+        assert recognize_spider(t) is recognize_spider(t)
+
+    def test_recognition_still_checks_tree(self):
+        forest = Tree(4, ((0, 1), (2, 3)))
+        for _ in range(2):
+            with pytest.raises(NotATreeError):
+                recognize_caterpillar(forest)
+            with pytest.raises(NotATreeError):
+                recognize_spider(forest)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,7 +9,7 @@ from diffcolor import (Optimality, Tree, differential_value, gen_caterpillar,
                        gen_spider, label_auto, label_general_caterpillar,
                        label_regular_caterpillar, label_spider_all_even,
                        label_spider_all_odd, mark_caterpillar, mp_value,
-                       recognize_caterpillar)
+                       recognize_caterpillar, upper_bound_report)
 from helpers import length_multisets, path_graph
 
 
@@ -250,3 +252,77 @@ class TestDeterminism:
             tree, shape = gen_random_caterpillar(rng, 12, 4)
             r = label_general_caterpillar(shape)
             assert differential_value(tree, r.labeling.labeling) == r.value
+
+
+def _shuffled(rng, tree):
+    perm = list(range(tree.n))
+    rng.shuffle(perm)
+    edges = [(perm[u], perm[v]) for u, v in tree.edges]
+    rng.shuffle(edges)
+    return Tree(tree.n, tuple(edges))
+
+
+def _arm_lengths(rng, total, p, parity):
+    lengths = []
+    for _ in range(p):
+        x = max(1, int(total / p * rng.uniform(0.75, 1.25)))
+        lengths.append(x + (x % 2 != parity))
+    return lengths
+
+
+def _golden_tree(family, seed):
+    """A seeded tree of n ~ 2.5e3..4.5e3 with shuffled vertex ids."""
+    rng = random.Random(seed)
+    if family == "regular-cat":
+        tree = gen_caterpillar([3] * 751)[0]
+    elif family == "sec53":
+        tree = gen_caterpillar([1 if i % 2 == 0 else 5 for i in range(1001)])[0]
+    elif family == "legless-cat":
+        interior = [0 if rng.random() < 0.5 else rng.randint(1, 4) for _ in range(1800)]
+        tree = gen_caterpillar([rng.randint(1, 4), *interior, rng.randint(1, 4)])[0]
+    elif family == "even-spider":
+        tree = gen_spider(_arm_lengths(rng, 4000, 4, 0))[0]
+    elif family == "odd-spider":
+        tree = gen_spider(_arm_lengths(rng, 3000, 5, 1))[0]
+    else:  # many short arms
+        tree = gen_spider([2] * 1500)[0]
+    return _shuffled(rng, tree)
+
+
+def _sha(obj):
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+# Pinned outputs: a change to graph, schemes or bounds must reproduce these
+# scheme and bound JSON objects byte for byte.
+GOLDEN = {
+    # family: (seed, n, scheme, sha256 of scheme JSON, sha256 of bounds JSON)
+    "regular-cat": (101, 3004, "regular-cat",
+        "e7a72be7eebe2a0f5d0e2d81ef47156737a191798d9cc0d5c0f753a2402a8a8d",
+        "321cc23b6ba0b1ea3ea467c79d8d82a0b3e120639e776869b42c0837e219d69e"),
+    "sec53": (102, 4002, "general-cat",
+        "8f4da15c8c8a09416e7a0f9121b19670de87887c6e6027ba2547a4fe5774f762",
+        "3b9e6a710b24af4f9bdc6efd38c84222cea78b9ab11c27183976d7d7e58a8a8a"),
+    "legless-cat": (103, 4076, "general-cat",
+        "61bfddddae4fcc0b3fe0dbfa6e4ce1165b79e6817885e3fe58c7008e75061304",
+        "85bfec14b31ce1bb844cf35fb5c34bd84624b9907b115efb6a49f11cd0f8c2b4"),
+    "even-spider": (104, 4397, "spider-even",
+        "3b162dc10250ad021a7647720fba314c79e069b81ba038cdfd9b9558c2c9c896",
+        "a65cf0b60362762ca7485da2cdb6f7bd030ee47572aaa81621db04b22bd5c083"),
+    "odd-spider": (105, 3234, "spider-odd",
+        "d3ab34b373786d02f665524c6abb0782698675d1b7234235edfef6e309f9e5f1",
+        "d3824f78db097dd5c1e074cacd26cb95d163269ea6875a3c15b247ca8169826e"),
+    "short-spider": (106, 3001, "spider-even",
+        "573197af62a471a6cc4d9206a2ee9a299e21753c0b3567a95f532f5d934ff46a",
+        "bb5769597f976e5581a38b643427ba49649d88e8139abd0f3b5f0c602c28889d"),
+}
+
+
+@pytest.mark.parametrize("family", sorted(GOLDEN))
+def test_golden_outputs(family):
+    seed, n, scheme, scheme_sha, bounds_sha = GOLDEN[family]
+    tree = _golden_tree(family, seed)
+    result = label_auto(tree)
+    assert (tree.n, result.scheme) == (n, scheme)
+    assert _sha(result.to_json()) == scheme_sha
+    assert _sha(upper_bound_report(tree).to_json()) == bounds_sha
