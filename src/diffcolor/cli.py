@@ -89,7 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_family_flags(p_exact, positional=False)
     p_exact.add_argument("--limit-n", type=int, default=DEFAULT_LIMIT_N)
     p_exact.add_argument("--timeout-ms", type=int)
-    p_exact.add_argument("--threads", type=int, default=1)
     p_exact.add_argument("--format", choices=("json", "plain"), default="json")
     p_exact.add_argument("--out")
 
@@ -166,14 +165,6 @@ def _read_labeling(path: str):
     return labeling_from_json(obj)
 
 
-def _emit(text: str, out_path: str | None, stdout) -> None:
-    if out_path is None:
-        stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _json_text(obj: dict) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
@@ -216,62 +207,44 @@ def _run_scheme(t: Tree, name: str):
     return label_spider_all_odd(spider)
 
 
-def _cmd_gen(args, stdout) -> int:
-    _emit(write_graph(_generate(args)), args.out, stdout)
-    return 0
+def _cmd_gen(args) -> str:
+    return write_graph(_generate(args))
 
 
-def _cmd_label(args, stdout) -> int:
+def _cmd_label(args) -> str:
     tree = _resolve_tree(args)
     result = _run_scheme(tree, args.scheme)
     if args.format == "json":
-        _emit(_json_text(result.to_json()), args.out, stdout)
-    elif args.format == "plain":
-        _emit(_plain_pairs(result.labeling.labeling.labels), args.out, stdout)
-    else:
-        _emit(to_dot(tree, result.labeling.labeling.labels), args.out, stdout)
-    return 0
+        return _json_text(result.to_json())
+    if args.format == "plain":
+        return _plain_pairs(result.labeling.labeling.labels)
+    return to_dot(tree, result.labeling.labeling.labels)
 
 
-def _cmd_eval(args, stdout) -> int:
-    with open(args.in_path, encoding="utf-8") as fh:
-        tree = parse_graph(fh.read())
-    labeling = _read_labeling(args.labeling)
-    evaluated = evaluate(tree, labeling)
+def _cmd_eval(args) -> str:
+    evaluated = evaluate(_resolve_tree(args), _read_labeling(args.labeling))
     if args.format == "json":
-        _emit(_json_text(evaluated.to_json()), args.out, stdout)
-    else:
-        _emit(f"{evaluated.value}\n", args.out, stdout)
-    return 0
+        return _json_text(evaluated.to_json())
+    return f"{evaluated.value}\n"
 
 
-def _cmd_bound(args, stdout) -> int:
+def _cmd_bound(args) -> str:
     report = upper_bound_report(_resolve_tree(args))
     if args.format == "json":
-        _emit(_json_text(report.to_json()), args.out, stdout)
-    else:
-        lines = "".join(f"{name} {value}\n" for name, value in report.entries)
-        _emit(lines + f"best {report.best}\n", args.out, stdout)
-    return 0
+        return _json_text(report.to_json())
+    lines = "".join(f"{name} {value}\n" for name, value in report.entries)
+    return lines + f"best {report.best}\n"
 
 
-def _cmd_exact(args, stdout) -> int:
-    tree = _resolve_tree(args)
-    if args.threads < 1:
-        raise CliError("--threads must be at least 1")
-    result = exact_dc(tree, limit_n=args.limit_n, timeout_ms=args.timeout_ms,
-                      threads=args.threads)
+def _cmd_exact(args) -> str:
+    result = exact_dc(_resolve_tree(args), limit_n=args.limit_n,
+                      timeout_ms=args.timeout_ms)
     if args.format == "json":
-        payload = {"dc": result.dc, "labels": list(result.witness.labels),
-                   "nodes": result.nodes, "millis": result.millis}
-        _emit(_json_text(payload), args.out, stdout)
-    else:
-        _emit(f"dc {result.dc}\n" + _plain_pairs(result.witness.labels),
-              args.out, stdout)
-    return 0
+        return _json_text(result.to_json())
+    return f"dc {result.dc}\n" + _plain_pairs(result.witness.labels)
 
 
-def _cmd_compare_mp(args, stdout) -> int:
+def _cmd_compare_mp(args) -> str:
     tree = _resolve_tree(args)
     shape = recognize_caterpillar(tree)
     if shape is None:
@@ -284,11 +257,10 @@ def _cmd_compare_mp(args, stdout) -> int:
         "scheme_guarantee": result.guarantee,
         "bound_best": upper_bound_report(tree).best,
     }
-    _emit(_json_text(payload), args.out, stdout)
-    return 0
+    return _json_text(payload)
 
 
-def _cmd_export(args, stdout) -> int:
+def _cmd_export(args) -> str:
     tree = _resolve_tree(args)
     if args.labeling is not None and args.scheme is not None:
         raise CliError("give either --labeling or --scheme, not both")
@@ -299,8 +271,7 @@ def _cmd_export(args, stdout) -> int:
         labels = labeling.labels
     elif args.scheme is not None:
         labels = _run_scheme(tree, args.scheme).labeling.labeling.labels
-    _emit(to_dot(tree, labels), args.out, stdout)
-    return 0
+    return to_dot(tree, labels)
 
 
 _HANDLERS = {
@@ -324,13 +295,19 @@ def run(argv, stdout=None, stderr=None) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args, stdout)
+        text = _HANDLERS[args.command](args)
+        if args.out is None:
+            stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except (CliError, GraphParseError, NotATreeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=stderr)
         return 2
     except (OracleLimitError, OracleTimeoutError) as exc:
         print(f"error: {exc}", file=stderr)
         return 3
+    return 0
 
 
 def main() -> None:

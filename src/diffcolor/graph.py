@@ -139,10 +139,11 @@ def parse_graph(text: str) -> Tree:
         if line == "c" or line.startswith("c "):
             continue
         fields = line.split(" ")
+        numeric = len(fields) == 3 and all(f.isascii() and f.isdigit() for f in fields[1:])
         if fields[0] == "p":
             if n is not None:
                 raise GraphParseError(line_no, "duplicate header")
-            if len(fields) != 3 or not all(f.isdigit() for f in fields[1:]):
+            if not numeric:
                 raise GraphParseError(line_no, f"malformed header {line!r}")
             n, m = int(fields[1]), int(fields[2])
             header_line = line_no
@@ -151,7 +152,7 @@ def parse_graph(text: str) -> Tree:
         elif fields[0] == "e":
             if n is None:
                 raise GraphParseError(line_no, "edge line before header")
-            if len(fields) != 3 or not all(f.isdigit() for f in fields[1:]):
+            if not numeric:
                 raise GraphParseError(line_no, f"malformed edge line {line!r}")
             u, v = int(fields[1]), int(fields[2])
             if not (1 <= u <= n and 1 <= v <= n):

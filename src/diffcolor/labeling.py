@@ -86,7 +86,8 @@ def labeling_from_json(obj: dict) -> Labeling:
         labels = obj["labels"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"labeling object must contain 'n' and 'labels': {exc}") from exc
-    if not isinstance(labels, list) or not all(isinstance(x, int) for x in labels):
+    if not isinstance(labels, list) or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in labels):
         raise ValueError("'labels' must be a list of integers")
     if n != len(labels):
         raise ValueError(f"'n' is {n} but 'labels' has {len(labels)} entries")

@@ -12,7 +12,6 @@ instead of hanging, and honors an optional wall-clock budget.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .bounds import upper_bound_report
@@ -49,110 +48,84 @@ class ExactResult:
     millis: int
 
     def to_json(self) -> dict:
-        return {"dc": self.dc, "nodes": self.nodes, "millis": self.millis}
+        return {"dc": self.dc, "labels": list(self.witness.labels),
+                "nodes": self.nodes, "millis": self.millis}
 
 
-def _search(n: int, adj: list[list[int]], d: int, first_vertex: int | None,
+def _search(n: int, adj: list[list[int]], d: int,
             deadline: float | None) -> tuple[tuple[int, ...] | None, int]:
     """Backtracking core. Returns (labels or None, nodes explored).
 
+    Number t goes to the first vertex, in id order, that fits; placed[t]
+    remembers it, so backtracking resumes number t at the next vertex. An
+    explicit loop, not recursion, so n is not bounded by the call stack.
     Complement symmetry (x -> n+1-x preserves the value) is broken by never
     letting vertex 0 take a number above ceil(n/2), halving the search.
     The deterministic vertex order makes the witness reproducible.
     """
     label_of = [0] * n
+    placed = [0] * (n + 1)
     half = (n + 1) // 2
     nodes = 0
-
-    def place(t: int) -> bool:
-        nonlocal nodes
-        if t > n:
-            return True
-        if deadline is not None and (nodes & _TIMEOUT_CHECK_MASK) == 0 \
-                and time.monotonic() > deadline:
-            raise _Timeout
-        if label_of[0] == 0 and t > half:
-            return False
+    t, v = 1, 0
+    while True:
+        if v == 0:  # first visit of number t
+            if t > n:
+                return tuple(label_of), nodes
+            if deadline is not None and (nodes & _TIMEOUT_CHECK_MASK) == 0 \
+                    and time.monotonic() > deadline:
+                raise _Timeout
+            if label_of[0] == 0 and t > half:
+                v = n
         room = t + d <= n
-        for v in range(n):
-            if label_of[v]:
-                continue
-            ok = True
-            unlabeled_nb = False
-            for u in adj[v]:
-                lu = label_of[u]
-                if lu == 0:
-                    unlabeled_nb = True
-                elif t - lu < d:
-                    ok = False
+        while v < n:
+            if not label_of[v]:
+                # a numbered neighbor needs t - lu >= d; an unnumbered one
+                # needs a number t + d or above to remain
+                for u in adj[v]:
+                    lu = label_of[u]
+                    if (t - lu < d) if lu else not room:
+                        break
+                else:  # every neighbor allows t at v
                     break
-            if not ok or (unlabeled_nb and not room):
-                continue
+            v += 1
+        if v < n:
             label_of[v] = t
+            placed[t] = v
             nodes += 1
-            if place(t + 1):
-                return True
+            t, v = t + 1, 0
+        elif t == 1:
+            return None, nodes
+        else:
+            t -= 1
+            v = placed[t]
             label_of[v] = 0
-        return False
-
-    if first_vertex is None:
-        found = place(1)
-    else:
-        label_of[first_vertex] = 1
-        nodes = 1
-        found = place(2)
-    return (tuple(label_of) if found else None), nodes
+            v += 1
 
 
-def _branch_worker(args) -> tuple[str, tuple[int, ...] | None, int]:
-    n, edges, d, first_vertex, remaining_ms = args
-    tree = Tree(n, edges)
-    deadline = None
-    if remaining_ms is not None:
-        deadline = time.monotonic() + remaining_ms / 1000.0
-    try:
-        labels, nodes = _search(n, tree.adjacency(), d, first_vertex, deadline)
-    except _Timeout:
-        return "timeout", None, 0
-    return "done", labels, nodes
+def _deadline(started: float, timeout_ms: int | None) -> float | None:
+    if timeout_ms is None:
+        return None
+    if timeout_ms < 0:
+        raise ValueError(f"timeout_ms must be non-negative, got {timeout_ms}")
+    return started + timeout_ms / 1000.0
 
 
-def _decide(t: Tree, d: int, deadline: float | None,
-            threads: int) -> tuple[tuple[int, ...] | None, int]:
-    if threads <= 1 or t.n <= 2:
-        return _search(t.n, t.adjacency(), d, None, deadline)
-    remaining_ms = None
-    if deadline is not None:
-        remaining_ms = max(0.0, (deadline - time.monotonic()) * 1000.0)
-    jobs = [(t.n, t.edges, d, v, remaining_ms) for v in range(t.n)]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(_branch_worker, jobs))
-    nodes = sum(r[2] for r in results)
-    for status, labels, _ in results:
-        if status == "done" and labels is not None:
-            return labels, nodes
-    if any(status == "timeout" for status, _, _ in results):
-        raise _Timeout
-    return None, nodes
-
-
-def decision_dc_at_least(t: Tree, d: int, *, timeout_ms: int | None = None,
-                         threads: int = 1) -> Labeling | None:
+def decision_dc_at_least(t: Tree, d: int, *,
+                         timeout_ms: int | None = None) -> Labeling | None:
     """Witness labeling of value >= d, or None if none exists (complete)."""
     if not 1 <= d <= t.n:
         raise ValueError(f"d must lie in 1..{t.n}, got {d}")
-    deadline = None
-    if timeout_ms is not None:
-        deadline = time.monotonic() + timeout_ms / 1000.0
+    deadline = _deadline(time.monotonic(), timeout_ms)
     try:
-        labels, _ = _decide(t, d, deadline, threads)
+        labels, _ = _search(t.n, t.adjacency(), d, deadline)
     except _Timeout:
         raise OracleTimeoutError(f"decision at d={d} timed out", (1, d), 0) from None
     return Labeling(labels) if labels is not None else None
 
 
 def exact_dc(t: Tree, *, limit_n: int = DEFAULT_LIMIT_N,
-             timeout_ms: int | None = None, threads: int = 1) -> ExactResult:
+             timeout_ms: int | None = None) -> ExactResult:
     """Maximum differential value with an optimal witness, by descending
     search from the best applicable upper bound (the bounds are tight on the
     tree classes of interest, so the first test usually succeeds).
@@ -165,17 +138,18 @@ def exact_dc(t: Tree, *, limit_n: int = DEFAULT_LIMIT_N,
         raise OracleLimitError(
             f"n={t.n} exceeds the exact-solver limit {limit_n}; raise limit_n to override")
     started = time.monotonic()
-    deadline = started + timeout_ms / 1000.0 if timeout_ms is not None else None
+    deadline = _deadline(started, timeout_ms)
     if t.m == 0:
         return ExactResult(t.n, Labeling.identity(t.n), 0, 0)
     if t.n >= 2 and t.is_connected():
         start = upper_bound_report(t).best
     else:
         start = t.n - 1
+    adj = t.adjacency()
     total_nodes = 0
     for d in range(start, 0, -1):
         try:
-            labels, nodes = _decide(t, d, deadline, threads)
+            labels, nodes = _search(t.n, adj, d, deadline)
         except _Timeout:
             raise OracleTimeoutError(
                 f"timed out while testing d={d}; result lies in [1, {d}]",

@@ -88,37 +88,21 @@ def label_regular_caterpillar(shape: CaterpillarShape) -> SchemeResult:
     if delta < 1:
         raise ValueError("regular caterpillar scheme needs at least one leg per spine vertex")
     s, n = shape.s, shape.n
+    k = s // 2
+    target = n // 2 if s % 2 == 0 else (n - delta + 1) // 2
     labels: dict[int, int] = {}
-    if s % 2 == 0:
-        k = s // 2
-        target = n // 2
-        for idx in range(s):
-            pos = idx + 1
-            if pos % 2 == 1:
-                i = (pos + 1) // 2
-                labels[shape.spine_vertices[idx]] = i
-                base = n // 2 + (i - 1) * delta
-            else:
-                i = pos // 2
-                labels[shape.spine_vertices[idx]] = n - k + i
-                base = k + (i - 1) * delta
-            for j, leg in enumerate(shape.leg_vertices[idx], start=1):
-                labels[leg] = base + j
-    else:
-        k = (s - 1) // 2
-        target = (n - delta + 1) // 2
-        for idx in range(s):
-            pos = idx + 1
-            if pos % 2 == 1:
-                i = (pos + 1) // 2
-                labels[shape.spine_vertices[idx]] = i
-                base = target + (i - 1) * delta
-            else:
-                i = pos // 2
-                labels[shape.spine_vertices[idx]] = n - k + i
-                base = k + (i - 1) * delta + 1
-            for j, leg in enumerate(shape.leg_vertices[idx], start=1):
-                labels[leg] = base + j
+    for idx in range(s):
+        pos = idx + 1
+        if pos % 2 == 1:
+            i = (pos + 1) // 2
+            labels[shape.spine_vertices[idx]] = i
+            base = target + (i - 1) * delta
+        else:
+            i = pos // 2
+            labels[shape.spine_vertices[idx]] = n - k + i
+            base = k + (i - 1) * delta + s % 2
+        for j, leg in enumerate(shape.leg_vertices[idx], start=1):
+            labels[leg] = base + j
     return _finish("regular-cat", shape.to_tree(), labels, target, target,
                    Optimality.PROVED)
 

@@ -1,6 +1,13 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import diffcolor
 from diffcolor import parse_graph, recognize_caterpillar, recognize_spider
 from diffcolor.cli import run
 
@@ -131,6 +138,14 @@ class TestEval:
         code, _, err = capture(["eval", "--in", str(g), "--labeling", str(lab)])
         assert code == 2 and "duplicate" in err
 
+    def test_boolean_label_rejected(self, tmp_path):
+        g = tmp_path / "p3.gr"
+        g.write_text("p 3 2\ne 1 2\ne 2 3\n")
+        lab = tmp_path / "lab.json"
+        lab.write_text('{"n": 3, "labels": [1, 3, true]}')
+        code, _, err = capture(["eval", "--in", str(g), "--labeling", str(lab)])
+        assert code == 2 and "list of integers" in err and err.count("\n") == 1
+
 
 class TestBound:
     def test_p5_json(self):
@@ -171,6 +186,16 @@ class TestExact:
         code, _, err = capture(["exact", "--family", "regular-cat", "--spine", "6",
                                 "--legs", "1", "--timeout-ms", "0"])
         assert code == 3 and "timed out" in err
+
+    def test_negative_timeout_exit_2(self):
+        code, _, err = capture(["exact", "--family", "spider", "--paths", "1,1,1",
+                                "--timeout-ms", "-5"])
+        assert code == 2 and "timeout_ms" in err and err.count("\n") == 1
+
+    def test_threads_flag_is_gone(self):
+        code, _, _ = capture(["exact", "--family", "spider", "--paths", "1,1,1",
+                              "--threads", "2"])
+        assert code == 2
 
 
 class TestCompareMp:
@@ -234,6 +259,24 @@ class TestErrors:
         path.write_text("p 2 1\ne 1 5\n")
         code, _, err = capture(["bound", "--in", str(path)])
         assert code == 2 and "line 2" in err
+
+    @pytest.mark.parametrize("digit", ["\uff11", "\u0661", "\u00b2"])
+    def test_non_ascii_digit_rejected(self, tmp_path, digit):
+        path = tmp_path / "bad.gr"
+        path.write_text(f"p 2 1\ne {digit} 2\n", encoding="utf-8")
+        code, _, err = capture(["bound", "--in", str(path)])
+        assert code == 2 and "line 2" in err and err.count("\n") == 1
+
+    def test_import_skips_process_pool(self):
+        # Every subcommand pays for what diffcolor.cli imports.
+        code = ("import sys, diffcolor.cli; "
+                "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+                "if m in sys.modules))")
+        src = str(Path(diffcolor.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "[]\n"
 
 
 class TestDeterminism:
