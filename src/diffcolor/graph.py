@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import filterfalse
+from itertools import accumulate, filterfalse
 
 
 class GraphParseError(ValueError):
@@ -21,6 +21,14 @@ class GraphParseError(ValueError):
 
 class NotATreeError(ValueError):
     pass
+
+
+class _EdgeError(ValueError):
+    """Tree rejects edges[index]; reason names the broken rule."""
+
+    def __init__(self, index: int, reason: str, detail: str):
+        super().__init__(f"{reason} {detail}")
+        self.index, self.reason = index, reason
 
 
 @dataclass(frozen=True)
@@ -40,18 +48,19 @@ class Tree:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise ValueError("vertex count must be positive")
         seen: set[tuple[int, int]] = set()
-        norm = []
+        norm = []  # len(norm) is the index of the edge at hand
         for u, v in self.edges:
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+                raise _EdgeError(len(norm), "self-loop", f"at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise _EdgeError(len(norm), "endpoint out of range", f"0..{n - 1}: ({u}, {v})")
             e = (u, v) if u < v else (v, u)
             if e in seen:
-                raise ValueError(f"duplicate edge ({e[0]}, {e[1]})")
+                raise _EdgeError(len(norm), "duplicate edge", f"{e}")
             seen.add(e)
             norm.append(e)
         object.__setattr__(self, "edges", tuple(norm))
@@ -128,51 +137,47 @@ def parse_graph(text: str) -> Tree:
     """Parse the graph file format: comments "c ...", one header "p <n> <m>",
     then m edge lines "e <u> <v>" with 1-based endpoints.
 
-    Raises GraphParseError (with line number) on any format violation.
+    Raises GraphParseError (with line number) on any format violation; the
+    edge rules themselves (range, self-loop, duplicate) are Tree's.
     """
-    n = None
-    m = None
+    n = m = None
     header_line = 0
     edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if line == "c" or line.startswith("c "):
-            continue
+    lines = text.splitlines()
+    for line_no, line in enumerate(lines, start=1):
         fields = line.split(" ")
-        numeric = len(fields) == 3 and all(f.isascii() and f.isdigit() for f in fields[1:])
-        if fields[0] == "p":
+        if fields[0] == "c":  # "c" alone or "c ..."
+            continue
+        numeric = (len(fields) == 3 and line.isascii()
+                   and fields[1].isdigit() and fields[2].isdigit())
+        if fields[0] == "e":
+            if n is None:
+                raise GraphParseError(line_no, "edge line before header")
+            if not numeric:
+                raise GraphParseError(line_no, f"malformed edge line {line!r}")
+            if len(edges) == m:
+                raise GraphParseError(line_no, f"more than the declared {m} edges")
+            edges.append((int(fields[1]) - 1, int(fields[2]) - 1))
+        elif fields[0] == "p":
             if n is not None:
                 raise GraphParseError(line_no, "duplicate header")
             if not numeric:
                 raise GraphParseError(line_no, f"malformed header {line!r}")
             n, m = int(fields[1]), int(fields[2])
             header_line = line_no
-            if n < 1:
-                raise GraphParseError(line_no, "vertex count must be positive")
-        elif fields[0] == "e":
-            if n is None:
-                raise GraphParseError(line_no, "edge line before header")
-            if not numeric:
-                raise GraphParseError(line_no, f"malformed edge line {line!r}")
-            u, v = int(fields[1]), int(fields[2])
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphParseError(line_no, f"endpoint out of range 1..{n}: {line!r}")
-            if u == v:
-                raise GraphParseError(line_no, f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise GraphParseError(line_no, f"duplicate edge ({key[0]}, {key[1]})")
-            if len(edges) == m:
-                raise GraphParseError(line_no, f"more than the declared {m} edges")
-            seen.add(key)
-            edges.append((u - 1, v - 1))
         else:
             raise GraphParseError(line_no, f"malformed line {line!r}")
     if n is None:
         raise GraphParseError(1, "missing header")
     if len(edges) != m:
         raise GraphParseError(header_line, f"header declares {m} edges, found {len(edges)}")
-    return Tree(n, tuple(edges))
+    try:
+        return Tree(n, tuple(edges))
+    except _EdgeError as exc:
+        line_no = [no for no, line in enumerate(lines, start=1) if line[:1] == "e"][exc.index]
+        raise GraphParseError(line_no, f"{exc.reason}: {lines[line_no - 1]!r}") from None
+    except ValueError as exc:  # a vertex count Tree rejects
+        raise GraphParseError(header_line, str(exc)) from None
 
 
 def write_graph(t: Tree) -> str:
@@ -270,21 +275,31 @@ class SpiderShape:
     def n(self) -> int:
         return 1 + sum(self.path_lengths)
 
+    @cached_property
+    def level_counts(self) -> tuple[int, ...]:
+        """Entry l is level_count(l) for l in 0..max_level; one pass over the
+        paths plus one suffix sum over the levels."""
+        ending = [0] * (max(self.path_lengths) + 1)
+        for length in self.path_lengths:
+            ending[length] += 1
+        return tuple(accumulate(reversed(ending)))[::-1]
+
     def level_count(self, level: int) -> int:
         """Number of vertices at the given level (paths long enough to reach it)."""
-        return sum(1 for length in self.path_lengths if length >= level)
+        counts = self.level_counts
+        return counts[max(level, 0)] if level < len(counts) else 0
 
     @property
     def max_level(self) -> int:
-        return max(self.path_lengths)
+        return len(self.level_counts) - 1
 
     @property
     def n_even(self) -> int:
-        return sum(self.level_count(l) for l in range(2, self.max_level + 1, 2))
+        return sum(self.level_counts[2::2])
 
     @property
     def n_odd(self) -> int:
-        return sum(self.level_count(l) for l in range(1, self.max_level + 1, 2))
+        return sum(self.level_counts[1::2])
 
     def to_tree(self) -> Tree:
         edges = []

@@ -77,6 +77,11 @@ def evaluate(t: Tree, labeling: Labeling) -> EvaluatedLabeling:
     return EvaluatedLabeling(labeling, differential_value(t, labeling))
 
 
+def _is_int(x) -> bool:
+    """An integer, where JSON's true/false (Python bools) do not count."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def labeling_from_json(obj: dict) -> Labeling:
     """Read the labeling interchange object {"n": int, "labels": [int, ...]};
     an included "value" field is ignored (it is recomputed on evaluation).
@@ -86,8 +91,9 @@ def labeling_from_json(obj: dict) -> Labeling:
         labels = obj["labels"]
     except (TypeError, KeyError) as exc:
         raise ValueError(f"labeling object must contain 'n' and 'labels': {exc}") from exc
-    if not isinstance(labels, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in labels):
+    if not _is_int(n):
+        raise ValueError("'n' must be an integer")
+    if not isinstance(labels, list) or not all(map(_is_int, labels)):
         raise ValueError("'labels' must be a list of integers")
     if n != len(labels):
         raise ValueError(f"'n' is {n} but 'labels' has {len(labels)} entries")

@@ -37,7 +37,11 @@ class OracleTimeoutError(Exception):
 
 
 class _Timeout(Exception):
-    pass
+    """The deadline passed during _search; carries the nodes explored."""
+
+    def __init__(self, nodes: int):
+        super().__init__(nodes)
+        self.nodes = nodes
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,7 @@ def _search(n: int, adj: list[list[int]], d: int,
                 return tuple(label_of), nodes
             if deadline is not None and (nodes & _TIMEOUT_CHECK_MASK) == 0 \
                     and time.monotonic() > deadline:
-                raise _Timeout
+                raise _Timeout(nodes)
             if label_of[0] == 0 and t > half:
                 v = n
         room = t + d <= n
@@ -119,8 +123,8 @@ def decision_dc_at_least(t: Tree, d: int, *,
     deadline = _deadline(time.monotonic(), timeout_ms)
     try:
         labels, _ = _search(t.n, t.adjacency(), d, deadline)
-    except _Timeout:
-        raise OracleTimeoutError(f"decision at d={d} timed out", (1, d), 0) from None
+    except _Timeout as exc:
+        raise OracleTimeoutError(f"decision at d={d} timed out", (1, d), exc.nodes) from None
     return Labeling(labels) if labels is not None else None
 
 
@@ -150,10 +154,10 @@ def exact_dc(t: Tree, *, limit_n: int = DEFAULT_LIMIT_N,
     for d in range(start, 0, -1):
         try:
             labels, nodes = _search(t.n, adj, d, deadline)
-        except _Timeout:
+        except _Timeout as exc:
             raise OracleTimeoutError(
                 f"timed out while testing d={d}; result lies in [1, {d}]",
-                (1, d), total_nodes) from None
+                (1, d), total_nodes + exc.nodes) from None
         total_nodes += nodes
         if labels is not None:
             millis = int((time.monotonic() - started) * 1000)

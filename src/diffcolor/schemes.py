@@ -127,8 +127,8 @@ def label_spider_all_even(shape: SpiderShape) -> SchemeResult:
     if any(length % 2 for length in shape.path_lengths):
         raise ValueError("all path lengths must be even")
     n_even = shape.n_even
-    evens = _prefix_sums(shape.level_count(l) for l in range(2, shape.max_level + 1, 2))
-    odds = _prefix_sums(shape.level_count(l) for l in range(1, shape.max_level + 1, 2))
+    evens = _prefix_sums(shape.level_counts[2::2])
+    odds = _prefix_sums(shape.level_counts[1::2])
     labels: dict[int, int] = {shape.center: 1}
     for rank, pi in enumerate(_sorted_path_order(shape), start=1):
         for level, v in enumerate(shape.path_vertices[pi], start=1):
@@ -155,8 +155,8 @@ def label_spider_all_odd(shape: SpiderShape) -> SchemeResult:
     n = shape.n
     n_even = shape.n_even
     ceil_half = (n + 1) // 2
-    odds = [shape.level_count(l) for l in range(1, shape.max_level + 1, 2)]
-    evens = [shape.level_count(l) for l in range(2, shape.max_level + 1, 2)]
+    odds = shape.level_counts[1::2]
+    evens = shape.level_counts[2::2]
     odd_floor = _prefix_sums(x // 2 for x in odds)
     odd_ceil = _prefix_sums((x + 1) // 2 for x in odds)
     even_floor = _prefix_sums(x // 2 for x in evens)
@@ -273,9 +273,7 @@ def _mark_positions(shape: CaterpillarShape) -> _Marking:
     # middle vertex's two neighbors occupy one low and one high spine slot.
     j = mid + 1
     if j < s and j in pseudo_owner and not in_spine[j]:
-        owns_pseudo[pseudo_owner[j]] = False
         pseudo_owner[j] = mid
-        owns_pseudo[mid] = True
         in_spine[j] = True
         if mid - 1 >= 0 and low_side[mid - 1] == low_side[j]:
             low_side[j] = not low_side[j]

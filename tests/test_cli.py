@@ -146,6 +146,14 @@ class TestEval:
         code, _, err = capture(["eval", "--in", str(g), "--labeling", str(lab)])
         assert code == 2 and "list of integers" in err and err.count("\n") == 1
 
+    def test_non_integer_n_rejected(self, tmp_path):
+        g = tmp_path / "p2.gr"
+        g.write_text("p 2 1\ne 1 2\n")
+        lab = tmp_path / "lab.json"
+        lab.write_text('{"n": 2.0, "labels": [1, 2]}')
+        code, out, err = capture(["eval", "--in", str(g), "--labeling", str(lab)])
+        assert code == 2 and out == "" and "'n' must be an integer" in err
+
 
 class TestBound:
     def test_p5_json(self):

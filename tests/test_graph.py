@@ -85,6 +85,20 @@ class TestParseGraph:
         with pytest.raises(GraphParseError, match="self-loop"):
             parse_graph("p 2 1\ne 1 1\n")
 
+    @pytest.mark.parametrize("bad, reason", [
+        ("e 3 1", "duplicate"), ("e 2 2", "self-loop"),
+        ("e 0 2", "out of range"), ("e 2 4", "out of range")])
+    def test_edge_fault_names_its_line_as_written(self, bad, reason):
+        text = f"c x\np 3 3\ne 1 2\nc between\ne 1 3\nc\n{bad}\n"
+        with pytest.raises(GraphParseError, match=reason) as info:
+            parse_graph(text)
+        assert info.value.line_no == 7
+        assert str(info.value).endswith(repr(bad))
+
+    def test_non_positive_vertex_count_names_header(self):
+        with pytest.raises(GraphParseError, match="line 2: vertex count must be positive"):
+            parse_graph("c x\np 0 0\n")
+
     def test_round_trip_bit_exact(self):
         text = "p 4 3\ne 1 2\ne 2 3\ne 2 4\n"
         assert write_graph(parse_graph(text)) == text

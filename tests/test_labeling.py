@@ -101,3 +101,8 @@ class TestJson:
             labeling_from_json({"n": 3, "labels": [1, 2]})
         with pytest.raises(ValueError):
             labeling_from_json({"n": 2, "labels": [1, "2"]})
+
+    @pytest.mark.parametrize("n, labels", [(True, [1]), (2.0, [1, 2]), ("2", [1, 2])])
+    def test_from_json_requires_integer_n(self, n, labels):
+        with pytest.raises(ValueError, match="'n' must be an integer"):
+            labeling_from_json({"n": n, "labels": labels})

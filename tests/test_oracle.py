@@ -6,7 +6,7 @@ from diffcolor import (Labeling, OracleLimitError, OracleTimeoutError, Tree,
                        decision_dc_at_least, differential_value, exact_dc,
                        gen_caterpillar, gen_regular_caterpillar, gen_spider,
                        upper_bound_report)
-from helpers import all_trees, naive_dc, path_graph
+from helpers import all_trees, naive_dc, path_graph, pruefer_to_edges
 
 
 class TestDecision:
@@ -109,6 +109,17 @@ class TestLimits:
         with pytest.raises(OracleTimeoutError) as info:
             exact_dc(t, timeout_ms=0)
         assert info.value.bracket == (1, 6)  # nothing ruled out yet
+
+    def test_timeout_keeps_explored_nodes(self):
+        rng = random.Random(0)
+        t = Tree(16, tuple(pruefer_to_edges([rng.randrange(16) for _ in range(14)], 16)))
+        assert upper_bound_report(t).best == 8  # infeasible; refuting it takes seconds
+        with pytest.raises(OracleTimeoutError) as info:
+            decision_dc_at_least(t, 8, timeout_ms=200)
+        assert info.value.nodes > 0
+        with pytest.raises(OracleTimeoutError) as info:
+            exact_dc(t, limit_n=16, timeout_ms=200)
+        assert info.value.bracket == (1, 8) and info.value.nodes > 0
 
     def test_negative_timeout_rejected(self):
         t = path_graph(4)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
@@ -326,3 +327,16 @@ def test_golden_outputs(family):
     assert (tree.n, result.scheme) == (n, scheme)
     assert _sha(result.to_json()) == scheme_sha
     assert _sha(upper_bound_report(tree).to_json()) == bounds_sha
+
+
+@pytest.mark.parametrize("lengths", [[2] * 25000 + [50000], [1] * 25000 + [50001]],
+                         ids=["even", "odd"])
+def test_broom_spider_scales(lengths):
+    """Brooms (many short paths, one long one) took time quadratic in n when
+    each level rescanned every path: tens of seconds at n = 1e5."""
+    tree, _ = gen_spider(lengths)
+    start = time.perf_counter()
+    result = label_auto(tree)
+    report = upper_bound_report(tree)
+    assert time.perf_counter() - start < 10
+    assert result.value == report.best
