@@ -25,17 +25,13 @@ class BoundReport:
         return min(value for _, value in self.entries)
 
     def __getitem__(self, name: str) -> int:
-        for key, value in self.entries:
-            if key == name:
-                return value
-        raise KeyError(name)
+        return dict(self.entries)[name]
 
     def __contains__(self, name: str) -> bool:
-        return any(key == name for key, _ in self.entries)
+        return name in dict(self.entries)
 
     def to_json(self) -> dict:
-        return {"bounds": {name: value for name, value in self.entries},
-                "best": self.best}
+        return {"bounds": dict(self.entries), "best": self.best}
 
 
 def upper_bound_report(t: Tree) -> BoundReport:

@@ -232,13 +232,15 @@ class CaterpillarShape:
     def is_regular(self) -> bool:
         return len(set(self.leg_counts)) == 1
 
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Spine edges in path order, then each spine vertex's legs."""
+        spine = self.spine_vertices
+        legs = ((v, leg) for v, vlegs in zip(spine, self.leg_vertices) for leg in vlegs)
+        return (*zip(spine, spine[1:]), *legs)
+
     def to_tree(self) -> Tree:
-        edges = []
-        for i in range(self.s - 1):
-            edges.append((self.spine_vertices[i], self.spine_vertices[i + 1]))
-        for v, legs in zip(self.spine_vertices, self.leg_vertices):
-            edges.extend((v, leg) for leg in legs)
-        return Tree(self.n, tuple(edges))
+        return Tree(self.n, self.edges)
 
 
 @dataclass(frozen=True)
@@ -301,14 +303,19 @@ class SpiderShape:
     def n_odd(self) -> int:
         return sum(self.level_counts[1::2])
 
-    def to_tree(self) -> Tree:
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Each path's edges from the center outward, paths in order."""
         edges = []
         for verts in self.path_vertices:
             prev = self.center
             for v in verts:
                 edges.append((prev, v))
                 prev = v
-        return Tree(self.n, tuple(edges))
+        return tuple(edges)
+
+    def to_tree(self) -> Tree:
+        return Tree(self.n, self.edges)
 
 
 def _require_connected_tree(t: Tree) -> None:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Tree
+from .graph import CaterpillarShape, SpiderShape, Tree
+
+Graph = Tree | CaterpillarShape | SpiderShape  # anything with n and edges
 
 
 @dataclass(frozen=True)
@@ -32,32 +34,31 @@ class Labeling:
         return Labeling(tuple(n + 1 - x for x in self.labels))
 
 
-def is_valid_labeling(t: Tree, labeling: Labeling) -> tuple[bool, str | None]:
+def is_valid_labeling(t: Graph, labeling: Labeling) -> tuple[bool, str | None]:
     """Check bijectivity onto {1..n}; returns (ok, first violation or None)."""
+    n = t.n
     labels = labeling.labels
-    if len(labels) != t.n:
-        return False, f"expected {t.n} labels, got {len(labels)}"
+    if len(labels) != n:
+        return False, f"expected {n} labels, got {len(labels)}"
     seen = set()
     for v, x in enumerate(labels):
-        if not 1 <= x <= t.n:
-            return False, f"label {x} of vertex {v} out of range 1..{t.n}"
+        if not 1 <= x <= n:
+            return False, f"label {x} of vertex {v} out of range 1..{n}"
         if x in seen:
             return False, f"duplicate label {x} at vertex {v}"
         seen.add(x)
     return True, None
 
 
-def differential_value(t: Tree, labeling: Labeling) -> int:
+def differential_value(t: Graph, labeling: Labeling) -> int:
     """Minimum |label difference| over edges; n for an edgeless graph (one
     more than any value an edge could constrain to).
     """
     ok, why = is_valid_labeling(t, labeling)
     if not ok:
         raise ValueError(f"invalid labeling: {why}")
-    if not t.edges:
-        return t.n
     labels = labeling.labels
-    return min(abs(labels[u] - labels[v]) for u, v in t.edges)
+    return min((abs(labels[u] - labels[v]) for u, v in t.edges), default=len(labels))
 
 
 @dataclass(frozen=True)
@@ -73,7 +74,7 @@ class EvaluatedLabeling:
         }
 
 
-def evaluate(t: Tree, labeling: Labeling) -> EvaluatedLabeling:
+def evaluate(t: Graph, labeling: Labeling) -> EvaluatedLabeling:
     return EvaluatedLabeling(labeling, differential_value(t, labeling))
 
 

@@ -20,7 +20,8 @@ import enum
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .graph import CaterpillarShape, SpiderShape, Tree, bipartition_sizes
+from .graph import (CaterpillarShape, SpiderShape, Tree, bipartition_sizes,
+                    recognize_caterpillar, recognize_spider)
 from .labeling import EvaluatedLabeling, Labeling, differential_value
 
 
@@ -30,7 +31,7 @@ class SchemeError(RuntimeError):
 
 class Optimality(enum.Enum):
     PROVED = "proved"
-    NOT_PROVED = "not-proved"
+    NOT_PROVED = "unknown"
 
 
 @dataclass(frozen=True)
@@ -50,21 +51,16 @@ class SchemeResult:
             "labels": list(self.labeling.labeling.labels),
             "value": self.value,
             "guarantee": self.guarantee,
-            "optimal": "proved" if self.optimal is Optimality.PROVED else "unknown",
+            "optimal": self.optimal.value,
         }
 
 
-def _finish(scheme: str, tree: Tree, labels: dict[int, int], guarantee: int,
-            expected_value: int | None, optimal: Optimality) -> SchemeResult:
-    """Assemble and evaluate a scheme's labels, trapping inconsistencies."""
-    if len(labels) != tree.n:
-        raise SchemeError(f"{scheme}: assigned {len(labels)} labels for {tree.n} vertices")
-    arr = [0] * tree.n
-    for v, x in labels.items():
-        arr[v] = x
-    labeling = Labeling(tuple(arr))
+def _finish(scheme: str, shape: CaterpillarShape | SpiderShape, labels: list[int],
+            guarantee: int, expected_value: int | None, optimal: Optimality) -> SchemeResult:
+    """Evaluate labels on the shape they label; a vertex left at 0 is not a bijection."""
+    labeling = Labeling(tuple(labels))
     try:
-        value = differential_value(tree, labeling)
+        value = differential_value(shape, labeling)
     except ValueError as exc:
         raise SchemeError(f"{scheme}: non-bijective output: {exc}") from exc
     if expected_value is not None and value != expected_value:
@@ -90,7 +86,7 @@ def label_regular_caterpillar(shape: CaterpillarShape) -> SchemeResult:
     s, n = shape.s, shape.n
     k = s // 2
     target = n // 2 if s % 2 == 0 else (n - delta + 1) // 2
-    labels: dict[int, int] = {}
+    labels = [0] * n
     for idx in range(s):
         pos = idx + 1
         if pos % 2 == 1:
@@ -103,7 +99,7 @@ def label_regular_caterpillar(shape: CaterpillarShape) -> SchemeResult:
             base = k + (i - 1) * delta + s % 2
         for j, leg in enumerate(shape.leg_vertices[idx], start=1):
             labels[leg] = base + j
-    return _finish("regular-cat", shape.to_tree(), labels, target, target,
+    return _finish("regular-cat", shape, labels, target, target,
                    Optimality.PROVED)
 
 
@@ -129,14 +125,15 @@ def label_spider_all_even(shape: SpiderShape) -> SchemeResult:
     n_even = shape.n_even
     evens = _prefix_sums(shape.level_counts[2::2])
     odds = _prefix_sums(shape.level_counts[1::2])
-    labels: dict[int, int] = {shape.center: 1}
+    labels = [0] * shape.n
+    labels[shape.center] = 1
     for rank, pi in enumerate(_sorted_path_order(shape), start=1):
         for level, v in enumerate(shape.path_vertices[pi], start=1):
             if level % 2 == 0:
                 labels[v] = 1 + evens[level // 2 - 1] + rank
             else:
                 labels[v] = n_even + 1 + odds[(level - 1) // 2] + rank
-    return _finish("spider-even", shape.to_tree(), labels, n_even, n_even,
+    return _finish("spider-even", shape, labels, n_even, n_even,
                    Optimality.PROVED)
 
 
@@ -162,7 +159,8 @@ def label_spider_all_odd(shape: SpiderShape) -> SchemeResult:
     even_floor = _prefix_sums(x // 2 for x in evens)
     even_ceil = _prefix_sums((x + 1) // 2 for x in evens)
 
-    labels: dict[int, int] = {shape.center: ceil_half}
+    labels = [0] * n
+    labels[shape.center] = ceil_half
     for rank, pi in enumerate(_sorted_path_order(shape), start=1):
         inner = rank % 2 == 0
         q = rank // 2 if inner else (rank + 1) // 2
@@ -179,7 +177,7 @@ def label_spider_all_odd(shape: SpiderShape) -> SchemeResult:
                     labels[v] = ceil_half + even_floor[i - 1] + q
                 else:
                     labels[v] = ceil_half - even_ceil[i] + q - 1
-    return _finish("spider-odd", shape.to_tree(), labels, n_even + 1, n_even + 1,
+    return _finish("spider-odd", shape, labels, n_even + 1, n_even + 1,
                    Optimality.PROVED)
 
 
@@ -356,7 +354,8 @@ def label_general_caterpillar(shape: CaterpillarShape) -> SchemeResult:
     mid = pm.mid
     ceil_half = (n + 1) // 2
 
-    labels: dict[int, int] = {spine[mid]: ceil_half}
+    labels = [0] * n
+    labels[spine[mid]] = ceil_half
     mid_legs = shape.leg_vertices[mid]
     lm = pm.low_mid_count
     hm = len(mid_legs) - lm
@@ -403,7 +402,7 @@ def label_general_caterpillar(shape: CaterpillarShape) -> SchemeResult:
     low_iter = iter(low_values)
     high_iter = iter(high_values)
     for j in walk:
-        if not pm.in_spine[j] or spine[j] in labels:
+        if not pm.in_spine[j] or labels[spine[j]]:
             continue
         labels[spine[j]] = next(low_iter) if pm.low_side[j] else next(high_iter)
 
@@ -432,7 +431,7 @@ def label_general_caterpillar(shape: CaterpillarShape) -> SchemeResult:
             low_value -= 1
 
     guarantee = ceil_half - shape.delta - 2
-    return _finish("general-cat", shape.to_tree(), labels, guarantee, None,
+    return _finish("general-cat", shape, labels, guarantee, None,
                    Optimality.NOT_PROVED)
 
 
@@ -450,8 +449,6 @@ def label_auto(t: Tree) -> SchemeResult:
     parity-uniform spider, then general caterpillar. Raises ValueError when
     no scheme applies (mixed-parity spiders that are not caterpillars).
     """
-    from .graph import recognize_caterpillar, recognize_spider
-
     if t.n < 2:
         raise ValueError("no scheme applies to a single vertex")
     cat = recognize_caterpillar(t)

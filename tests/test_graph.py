@@ -285,6 +285,16 @@ class TestShapeInvariants:
         t, shape = gen_spider([2, 4])
         assert shape.to_tree() == t
 
+    def test_shape_edges_in_to_tree_order(self):
+        # caterpillar: spine path first, then each spine vertex's legs;
+        # spider: each path from the center outward
+        _, cat = gen_caterpillar([2, 0, 1])
+        assert cat.edges == ((0, 1), (1, 2), (0, 3), (0, 4), (2, 5))
+        _, spider = gen_spider([2, 1])
+        assert spider.edges == ((0, 1), (1, 2), (0, 3))
+        for shape in (cat, spider):
+            assert shape.to_tree().edges == shape.edges
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             CaterpillarShape((1, 0), (0, 1), ((2,), ()))  # legless right endpoint

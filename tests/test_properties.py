@@ -1,0 +1,54 @@
+"""Hypothesis properties of recognition, evaluation and the schemes on
+caterpillars and spiders (n <= 200) with randomly permuted vertex ids."""
+
+import random
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from diffcolor import (Labeling, Tree, differential_value, gen_caterpillar,
+                       gen_spider, label_auto, recognize_caterpillar,
+                       recognize_spider, upper_bound_report)
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def caterpillars(draw):
+    counts = draw(st.lists(st.integers(0, 9), min_size=1, max_size=20))
+    counts[0] = max(counts[0], 1)
+    counts[-1] = max(counts[-1], 1)
+    return gen_caterpillar(counts)[0]
+
+
+@st.composite
+def parity_uniform_spiders(draw):
+    odd = draw(st.booleans())
+    halves = draw(st.lists(st.integers(0, 7), min_size=1, max_size=12))
+    return gen_spider([2 * k + (1 if odd else 2) for k in halves])[0]
+
+
+@st.composite
+def relabeled(draw, trees):
+    """A tree from trees with permuted vertex ids and shuffled edge order."""
+    tree = draw(trees)
+    rng = random.Random(draw(seeds))
+    perm = rng.sample(range(tree.n), tree.n)
+    edges = [(perm[u], perm[v]) for u, v in tree.edges]
+    rng.shuffle(edges)
+    return Tree(tree.n, tuple(edges))
+
+
+@given(relabeled(caterpillars() | parity_uniform_spiders()), seeds)
+def test_shapes_schemes_and_bounds_agree(tree, seed):
+    """Each recognized shape has the tree's edges and values a labeling as the
+    tree does; label_auto lands between its guarantee and the best bound."""
+    shapes = [s for s in (recognize_caterpillar(tree), recognize_spider(tree)) if s]
+    assert shapes
+    labeling = Labeling(tuple(random.Random(seed).sample(range(1, tree.n + 1), tree.n)))
+    for shape in shapes:
+        assert {(min(e), max(e)) for e in shape.edges} == set(tree.edges)
+        assert len(shape.edges) == tree.m
+        assert differential_value(shape, labeling) == differential_value(tree, labeling)
+    result = label_auto(tree)
+    assert result.guarantee <= result.value <= upper_bound_report(tree).best

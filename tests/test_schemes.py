@@ -5,12 +5,14 @@ import time
 
 import pytest
 
-from diffcolor import (Optimality, Tree, differential_value, gen_caterpillar,
-                       gen_random_caterpillar, gen_regular_caterpillar,
-                       gen_spider, label_auto, label_general_caterpillar,
-                       label_regular_caterpillar, label_spider_all_even,
-                       label_spider_all_odd, mark_caterpillar, mp_value,
-                       recognize_caterpillar, upper_bound_report)
+from diffcolor import (Optimality, SchemeError, Tree, differential_value,
+                       gen_caterpillar, gen_random_caterpillar,
+                       gen_regular_caterpillar, gen_spider, label_auto,
+                       label_general_caterpillar, label_regular_caterpillar,
+                       label_spider_all_even, label_spider_all_odd,
+                       mark_caterpillar, mp_value, parse_graph,
+                       recognize_caterpillar, upper_bound_report, write_graph)
+from diffcolor.schemes import _finish
 from helpers import length_multisets, path_graph
 
 
@@ -253,6 +255,66 @@ class TestDeterminism:
             tree, shape = gen_random_caterpillar(rng, 12, 4)
             r = label_general_caterpillar(shape)
             assert differential_value(tree, r.labeling.labeling) == r.value
+
+
+@pytest.mark.parametrize("kind", ["caterpillar", "spider"])
+class TestFinishSelfCheck:
+    """_finish re-evaluates labels on the shape; every inconsistency it traps
+    is a SchemeError, never a wrong result."""
+
+    @staticmethod
+    def scheme_output(kind):
+        """A shape, its scheme's labels as a list, and their value."""
+        if kind == "caterpillar":
+            _, shape = gen_regular_caterpillar(3, 2)
+            result = label_regular_caterpillar(shape)
+        else:
+            _, shape = gen_spider([2, 2, 4])
+            result = label_spider_all_even(shape)
+        return shape, list(labels_of(result)), result.value
+
+    def test_unassigned_vertex(self, kind):
+        shape, labels, _ = self.scheme_output(kind)
+        labels[-1] = 0
+        with pytest.raises(SchemeError, match="non-bijective.*out of range"):
+            _finish("t", shape, labels, 1, None, Optimality.PROVED)
+
+    def test_repeated_label(self, kind):
+        shape, labels, _ = self.scheme_output(kind)
+        labels[1] = labels[0]
+        with pytest.raises(SchemeError, match="non-bijective.*duplicate"):
+            _finish("t", shape, labels, 1, None, Optimality.PROVED)
+
+    def test_value_differs_from_expected(self, kind):
+        shape, labels, value = self.scheme_output(kind)
+        with pytest.raises(SchemeError, match=f"achieved {value}, expected {value + 1}"):
+            _finish("t", shape, labels, 1, value + 1, Optimality.PROVED)
+
+    def test_value_below_guarantee(self, kind):
+        shape, labels, value = self.scheme_output(kind)
+        with pytest.raises(SchemeError, match=f"below guarantee {value + 1}"):
+            _finish("t", shape, labels, value + 1, None, Optimality.NOT_PROVED)
+
+
+@pytest.mark.parametrize("scheme, tree", [
+    ("regular-cat", gen_caterpillar([2, 2, 2])[0]),
+    ("spider-even", gen_spider([2, 2, 4])[0]),
+    ("spider-odd", gen_spider([1, 3, 3])[0]),
+    ("general-cat", gen_caterpillar([1, 0, 2, 1])[0]),
+], ids=["regular-cat", "spider-even", "spider-odd", "general-cat"])
+def test_label_auto_builds_no_tree(monkeypatch, scheme, tree):
+    """Schemes check their labels on the recognized shape, not on a rebuilt Tree."""
+    tree = parse_graph(write_graph(tree))
+    built = []
+    post_init = Tree.__post_init__
+
+    def counting_post_init(self):
+        built.append(self.n)
+        post_init(self)
+
+    monkeypatch.setattr(Tree, "__post_init__", counting_post_init)
+    assert label_auto(tree).scheme == scheme
+    assert built == []
 
 
 def _shuffled(rng, tree):
