@@ -22,19 +22,14 @@ import random
 import sys
 
 from .bounds import upper_bound_report
-from .graph import (GraphParseError, NotATreeError, Tree, gen_caterpillar,
-                    gen_random_caterpillar, gen_regular_caterpillar, gen_spider,
-                    parse_graph, recognize_caterpillar, recognize_spider,
-                    write_graph)
+from .graph import (Tree, gen_caterpillar, gen_random_caterpillar,
+                    gen_regular_caterpillar, gen_spider, parse_graph, write_graph)
 from .labeling import evaluate, labeling_from_json
 from .oracle import (DEFAULT_LIMIT_N, OracleLimitError, OracleTimeoutError,
                      exact_dc)
-from .schemes import (label_auto, label_general_caterpillar,
-                      label_regular_caterpillar, label_spider_all_even,
-                      label_spider_all_odd, mp_value)
+from .schemes import SCHEMES, label_auto, mp_value, run_scheme
 
 FAMILIES = ("regular-cat", "cat", "spider", "sec53", "random-cat")
-SCHEMES = ("auto", "regular-cat", "spider-even", "spider-odd", "general-cat")
 
 
 class CliError(ValueError):
@@ -68,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_label = sub.add_parser("label", help="run a labeling scheme")
     p_label.add_argument("--in", dest="in_path")
     _add_family_flags(p_label, positional=False)
-    p_label.add_argument("--scheme", choices=SCHEMES, default="auto")
+    p_label.add_argument("--scheme", choices=("auto", *SCHEMES), default="auto")
     p_label.add_argument("--format", choices=("json", "plain", "dot"), default="json")
     p_label.add_argument("--out")
 
@@ -102,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--in", dest="in_path")
     _add_family_flags(p_exp, positional=False)
     p_exp.add_argument("--labeling")
-    p_exp.add_argument("--scheme", choices=SCHEMES)
+    p_exp.add_argument("--scheme", choices=("auto", *SCHEMES))
     p_exp.add_argument("--out")
 
     return parser
@@ -187,24 +182,7 @@ def to_dot(t: Tree, labels=None) -> str:
 
 
 def _run_scheme(t: Tree, name: str):
-    if name == "auto":
-        return label_auto(t)
-    if name == "regular-cat":
-        shape = recognize_caterpillar(t)
-        if shape is None or not shape.is_regular:
-            raise CliError("input is not a regular caterpillar")
-        return label_regular_caterpillar(shape)
-    if name == "general-cat":
-        shape = recognize_caterpillar(t)
-        if shape is None:
-            raise CliError("input is not a caterpillar")
-        return label_general_caterpillar(shape)
-    spider = recognize_spider(t)
-    if spider is None:
-        raise CliError("input is not a spider")
-    if name == "spider-even":
-        return label_spider_all_even(spider)
-    return label_spider_all_odd(spider)
+    return label_auto(t) if name == "auto" else run_scheme(t, name)
 
 
 def _cmd_gen(args) -> str:
@@ -246,10 +224,7 @@ def _cmd_exact(args) -> str:
 
 def _cmd_compare_mp(args) -> str:
     tree = _resolve_tree(args)
-    shape = recognize_caterpillar(tree)
-    if shape is None:
-        raise CliError("input is not a caterpillar")
-    result = label_general_caterpillar(shape)
+    result = run_scheme(tree, "general-cat")
     payload = {
         "n": tree.n,
         "mp": mp_value(tree),
@@ -301,7 +276,7 @@ def run(argv, stdout=None, stderr=None) -> int:
         else:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
-    except (CliError, GraphParseError, NotATreeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # every input error is a ValueError
         print(f"error: {exc}", file=stderr)
         return 2
     except (OracleLimitError, OracleTimeoutError) as exc:

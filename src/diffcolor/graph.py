@@ -124,7 +124,8 @@ class Tree:
         return self._coloring[1]
 
     def is_connected(self) -> bool:
-        return self.component_count() == 1
+        # fewer than n - 1 edges cannot connect n vertices: no O(n) traversal
+        return self.m >= self.n - 1 and self.component_count() == 1
 
     def is_tree(self) -> bool:
         return self.m == self.n - 1 and self.is_connected()

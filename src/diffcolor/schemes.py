@@ -8,6 +8,12 @@ Four schemes are provided:
   label_spider_all_odd       optimal for spiders whose paths all have odd length,
   label_general_caterpillar  any caterpillar; guarantees value >= ceil(n/2)-delta-2.
 
+SCHEMES lists them in label_auto's order of preference, each with the shape
+class it labels and that class's recognizer. A scheme's own guard is the only
+statement of when it applies: it raises NotApplicable (a ValueError) with the
+reason. run_scheme(t, name) recognizes the shape and runs one row; label_auto
+runs the first row that applies and otherwise names every row's reason.
+
 mp_value computes the differential value the classic forest bipartition scheme
 guarantees, min(|U|, |V|); no labeling is constructed for it.
 
@@ -27,6 +33,10 @@ from .labeling import EvaluatedLabeling, Labeling, differential_value
 
 class SchemeError(RuntimeError):
     """A scheme produced an inconsistent state; indicates a bug, not bad input."""
+
+
+class NotApplicable(ValueError):
+    """The input is outside the class a scheme labels; the message says why."""
 
 
 class Optimality(enum.Enum):
@@ -79,10 +89,10 @@ def label_regular_caterpillar(shape: CaterpillarShape) -> SchemeResult:
     ceil((n - delta)/2) for an odd one, matching the upper bound.
     """
     if not shape.is_regular:
-        raise ValueError("shape is not a regular caterpillar")
+        raise NotApplicable("shape is not a regular caterpillar")
     delta = shape.delta
     if delta < 1:
-        raise ValueError("regular caterpillar scheme needs at least one leg per spine vertex")
+        raise NotApplicable("regular caterpillar scheme needs at least one leg per spine vertex")
     s, n = shape.s, shape.n
     k = s // 2
     target = n // 2 if s % 2 == 0 else (n - delta + 1) // 2
@@ -121,7 +131,7 @@ def label_spider_all_even(shape: SpiderShape) -> SchemeResult:
     non-increasing path length. Achieves N_e, which here equals floor(n/2).
     """
     if any(length % 2 for length in shape.path_lengths):
-        raise ValueError("all path lengths must be even")
+        raise NotApplicable("all path lengths must be even")
     n_even = shape.n_even
     evens = _prefix_sums(shape.level_counts[2::2])
     odds = _prefix_sums(shape.level_counts[1::2])
@@ -148,7 +158,7 @@ def label_spider_all_odd(shape: SpiderShape) -> SchemeResult:
     N_e + 1 = ceil((n - p)/2).
     """
     if any(length % 2 == 0 for length in shape.path_lengths):
-        raise ValueError("all path lengths must be odd")
+        raise NotApplicable("all path lengths must be odd")
     n = shape.n
     n_even = shape.n_even
     ceil_half = (n + 1) // 2
@@ -346,7 +356,7 @@ def label_general_caterpillar(shape: CaterpillarShape) -> SchemeResult:
     grouped by owner.
     """
     if shape.n < 2:
-        raise ValueError("general caterpillar scheme needs n >= 2")
+        raise NotApplicable("general caterpillar scheme needs n >= 2")
     n, s = shape.n, shape.s
     spine = shape.spine_vertices
     pm = _mark_positions(shape)
@@ -444,22 +454,31 @@ def mp_value(t: Tree) -> int:
     return bipartition_sizes(t)[1]
 
 
+# name: (shape class, its recognizer, scheme function), in label_auto's order
+SCHEMES = {
+    "regular-cat": ("caterpillar", recognize_caterpillar, label_regular_caterpillar),
+    "spider-even": ("spider", recognize_spider, label_spider_all_even),
+    "spider-odd": ("spider", recognize_spider, label_spider_all_odd),
+    "general-cat": ("caterpillar", recognize_caterpillar, label_general_caterpillar),
+}
+
+
+def run_scheme(t: Tree, name: str) -> SchemeResult:
+    """Label t with the named scheme; NotApplicable says why it cannot."""
+    shape_class, recognize, label = SCHEMES[name]
+    shape = recognize(t)
+    if shape is None:
+        raise NotApplicable(f"input is not a {shape_class}")
+    return label(shape)
+
+
 def label_auto(t: Tree) -> SchemeResult:
-    """Pick the best applicable scheme: regular caterpillar, then
-    parity-uniform spider, then general caterpillar. Raises ValueError when
-    no scheme applies (mixed-parity spiders that are not caterpillars).
-    """
-    if t.n < 2:
-        raise ValueError("no scheme applies to a single vertex")
-    cat = recognize_caterpillar(t)
-    if cat is not None and cat.is_regular and cat.delta >= 1:
-        return label_regular_caterpillar(cat)
-    spider = recognize_spider(t)
-    if spider is not None:
-        if all(length % 2 == 0 for length in spider.path_lengths):
-            return label_spider_all_even(spider)
-        if all(length % 2 == 1 for length in spider.path_lengths):
-            return label_spider_all_odd(spider)
-    if cat is not None:
-        return label_general_caterpillar(cat)
-    raise ValueError("no scheme applies: not a caterpillar and not a parity-uniform spider")
+    """Label t with the first scheme in SCHEMES that applies; when none
+    does, NotApplicable names each scheme's reason."""
+    reasons = []
+    for name in SCHEMES:
+        try:
+            return run_scheme(t, name)
+        except NotApplicable as exc:
+            reasons.append(f"{name}: {exc}")
+    raise NotApplicable("no scheme applies: " + "; ".join(reasons))

@@ -268,6 +268,12 @@ class TestErrors:
         code, _, err = capture(["bound", "--in", str(path)])
         assert code == 2 and "line 2" in err
 
+    def test_edgeless_header_rejected_without_traversal(self, tmp_path):
+        path = tmp_path / "edgeless.gr"
+        path.write_text("p 1000000 0\n")
+        code, out, err = capture(["bound", "--in", str(path)])
+        assert (code, out, err) == (2, "", "error: input graph is disconnected\n")
+
     @pytest.mark.parametrize("digit", ["\uff11", "\u0661", "\u00b2"])
     def test_non_ascii_digit_rejected(self, tmp_path, digit):
         path = tmp_path / "bad.gr"

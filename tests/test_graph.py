@@ -38,6 +38,13 @@ class TestTree:
         assert not cycle.is_forest()
         assert cycle.is_connected()
 
+    def test_too_few_edges_skip_the_traversal(self):
+        # n - 1 edges are needed to connect n vertices; with fewer, the
+        # answer must not cost an O(n) adjacency and coloring.
+        t = Tree(10**6, ())
+        assert not t.is_connected()
+        assert "_adj" not in t.__dict__ and "_coloring" not in t.__dict__
+
 
 class TestParseGraph:
     def test_single_edge(self):

@@ -5,15 +5,16 @@ import time
 
 import pytest
 
-from diffcolor import (Optimality, SchemeError, Tree, differential_value,
-                       gen_caterpillar, gen_random_caterpillar,
-                       gen_regular_caterpillar, gen_spider, label_auto,
+from diffcolor import (NotApplicable, NotATreeError, Optimality, SchemeError,
+                       Tree, differential_value, gen_caterpillar,
+                       gen_random_caterpillar, gen_regular_caterpillar,
+                       gen_spider, label_auto,
                        label_general_caterpillar, label_regular_caterpillar,
                        label_spider_all_even, label_spider_all_odd,
                        mark_caterpillar, mp_value, parse_graph,
                        recognize_caterpillar, upper_bound_report, write_graph)
-from diffcolor.schemes import _finish
-from helpers import length_multisets, path_graph
+from diffcolor.schemes import SCHEMES, _finish, run_scheme
+from helpers import free_trees, length_multisets, path_graph
 
 
 def labels_of(result):
@@ -402,3 +403,50 @@ def test_broom_spider_scales(lengths):
     report = upper_bound_report(tree)
     assert time.perf_counter() - start < 10
     assert result.value == report.best
+
+
+ATLAS = [t for n in range(1, 13) for t in free_trees(n)]  # 987 free trees
+
+
+def test_scheme_table_agrees_with_label_auto():
+    """On every free tree with n <= 12, each row labels the tree or says why
+    not, and label_auto is the first row that labels it."""
+    assert list(SCHEMES) == ["regular-cat", "spider-even", "spider-odd", "general-cat"]
+    for t in ATLAS:
+        labeled = []
+        for name in SCHEMES:
+            try:
+                assert run_scheme(t, name).scheme == name
+                labeled.append(name)
+            except NotApplicable:
+                pass
+        if labeled:
+            result = label_auto(t)
+            assert result.scheme == labeled[0]
+            assert result.guarantee <= result.value <= upper_bound_report(t).best
+        else:
+            with pytest.raises(NotApplicable, match="no scheme applies") as exc:
+                label_auto(t)
+            assert all(f"{name}: " in str(exc.value) for name in SCHEMES)
+
+
+def test_forest_is_not_a_tree_for_any_row():
+    forest = Tree(4, ((0, 1), (2, 3)))
+    for name in SCHEMES:
+        with pytest.raises(NotATreeError):
+            run_scheme(forest, name)
+    with pytest.raises(NotATreeError):
+        label_auto(forest)
+
+
+def test_label_auto_atlas_digest():
+    """label_auto's JSON on all 987 free trees with n <= 12 (None where no
+    scheme applies), pinned before the scheme table replaced its if-chain."""
+    outputs = []
+    for t in ATLAS:
+        try:
+            outputs.append(label_auto(t).to_json())
+        except NotApplicable:
+            outputs.append(None)
+    assert (len(outputs), outputs.count(None)) == (987, 417)
+    assert _sha(outputs) == "09a3b64dc4dcd47be33f320faa507c29f6ef70b35c7a81baee82103170bab75a"
