@@ -1,0 +1,43 @@
+"""Base class of the package's immutable value records.
+
+Written out by hand, not generated by a decorator: the standard library's
+record generator imports inspect, ast and dis and builds each class's methods
+with exec, which together cost more than the CLI's own work on small inputs.
+"""
+
+
+class Record:
+    """Equality, hash and repr over the fields named in _fields, in order.
+
+    A subclass lists its fields in _fields and writes an __init__ taking them
+    as parameters, which checks them and hands them, in field order, to
+    Record.__init__.
+    Attributes cannot be assigned or deleted afterwards; cached_property still
+    works, since it writes the instance __dict__ directly.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -11,14 +11,15 @@ Class bounds are emitted exactly when the recognizer accepts the input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .graph import Tree, recognize_caterpillar, recognize_spider
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    entries: tuple[tuple[str, int], ...]
+class BoundReport(Record):
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[str, int], ...]):
+        super().__init__(entries)
 
     @property
     def best(self) -> int:

@@ -6,9 +6,10 @@ Vertices are integers 0..n-1 internally; graph files are 1-based.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, filterfalse
+
+from ._record import Record
 
 
 class GraphParseError(ValueError):
@@ -31,8 +32,7 @@ class _EdgeError(ValueError):
         self.index, self.reason = index, reason
 
 
-@dataclass(frozen=True)
-class Tree:
+class Tree(Record):
     """A simple undirected graph.
 
     Despite the name, arbitrary simple graphs are representable; operations
@@ -44,16 +44,14 @@ class Tree:
     cached on the instance; they take no part in ==, hash or repr.
     """
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
+    _fields = ("n", "edges")
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
         if n < 1:
             raise ValueError("vertex count must be positive")
         seen: set[tuple[int, int]] = set()
         norm = []  # len(norm) is the index of the edge at hand
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise _EdgeError(len(norm), "self-loop", f"at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
@@ -63,7 +61,7 @@ class Tree:
                 raise _EdgeError(len(norm), "duplicate edge", f"{e}")
             seen.add(e)
             norm.append(e)
-        object.__setattr__(self, "edges", tuple(norm))
+        super().__init__(n, tuple(norm))
 
     @property
     def m(self) -> int:
@@ -188,19 +186,18 @@ def write_graph(t: Tree) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class CaterpillarShape:
+class CaterpillarShape(Record):
     """A caterpillar: spine vertices in path order, each with its legs.
 
     Canonical form: when the spine has length >= 2, both spine endpoints carry
     at least one leg (a legless endpoint would itself be a leaf).
     """
 
-    leg_counts: tuple[int, ...]
-    spine_vertices: tuple[int, ...]
-    leg_vertices: tuple[tuple[int, ...], ...]
+    _fields = ("leg_counts", "spine_vertices", "leg_vertices")
 
-    def __post_init__(self):
+    def __init__(self, leg_counts: tuple[int, ...], spine_vertices: tuple[int, ...],
+                 leg_vertices: tuple[tuple[int, ...], ...]):
+        super().__init__(leg_counts, spine_vertices, leg_vertices)
         s = len(self.leg_counts)
         if s == 0:
             raise ValueError("caterpillar needs at least one spine vertex")
@@ -244,19 +241,18 @@ class CaterpillarShape:
         return Tree(self.n, self.edges)
 
 
-@dataclass(frozen=True)
-class SpiderShape:
+class SpiderShape(Record):
     """A spider: a center vertex joined to vertex-disjoint paths.
 
     path_vertices[i] lists path i's vertices at levels 1..path_lengths[i],
     level = distance from the center.
     """
 
-    path_lengths: tuple[int, ...]
-    center: int
-    path_vertices: tuple[tuple[int, ...], ...]
+    _fields = ("path_lengths", "center", "path_vertices")
 
-    def __post_init__(self):
+    def __init__(self, path_lengths: tuple[int, ...], center: int,
+                 path_vertices: tuple[tuple[int, ...], ...]):
+        super().__init__(path_lengths, center, path_vertices)
         if len(self.path_lengths) == 0:
             raise ValueError("spider needs at least one path")
         if len(self.path_vertices) != len(self.path_lengths):

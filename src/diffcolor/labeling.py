@@ -7,18 +7,19 @@ arithmetic on immutable values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .graph import CaterpillarShape, SpiderShape, Tree
 
 Graph = Tree | CaterpillarShape | SpiderShape  # anything with n and edges
 
 
-@dataclass(frozen=True)
-class Labeling:
+class Labeling(Record):
     """labels[v] is the number assigned to vertex v, from {1..n}."""
 
-    labels: tuple[int, ...]
+    _fields = ("labels",)
+
+    def __init__(self, labels: tuple[int, ...]):
+        super().__init__(labels)
 
     @property
     def n(self) -> int:
@@ -61,10 +62,11 @@ def differential_value(t: Graph, labeling: Labeling) -> int:
     return min((abs(labels[u] - labels[v]) for u, v in t.edges), default=len(labels))
 
 
-@dataclass(frozen=True)
-class EvaluatedLabeling:
-    labeling: Labeling
-    value: int
+class EvaluatedLabeling(Record):
+    _fields = ("labeling", "value")
+
+    def __init__(self, labeling: Labeling, value: int):
+        super().__init__(labeling, value)
 
     def to_json(self) -> dict:
         return {

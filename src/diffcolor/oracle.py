@@ -12,8 +12,8 @@ instead of hanging, and honors an optional wall-clock budget.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
+from ._record import Record
 from .bounds import upper_bound_report
 from .graph import Tree
 from .labeling import Labeling
@@ -44,12 +44,11 @@ class _Timeout(Exception):
         self.nodes = nodes
 
 
-@dataclass(frozen=True)
-class ExactResult:
-    dc: int
-    witness: Labeling
-    nodes: int
-    millis: int
+class ExactResult(Record):
+    _fields = ("dc", "witness", "nodes", "millis")
+
+    def __init__(self, dc: int, witness: Labeling, nodes: int, millis: int):
+        super().__init__(dc, witness, nodes, millis)
 
     def to_json(self) -> dict:
         return {"dc": self.dc, "labels": list(self.witness.labels),
@@ -124,7 +123,8 @@ def decision_dc_at_least(t: Tree, d: int, *,
     try:
         labels, _ = _search(t.n, t.adjacency(), d, deadline)
     except _Timeout as exc:
-        raise OracleTimeoutError(f"decision at d={d} timed out", (1, d), exc.nodes) from None
+        # an unfinished decision refutes no d, so only 1 <= dc <= n is known
+        raise OracleTimeoutError(f"decision at d={d} timed out", (1, t.n), exc.nodes) from None
     return Labeling(labels) if labels is not None else None
 
 

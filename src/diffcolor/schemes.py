@@ -23,9 +23,9 @@ All schemes are deterministic: identical shapes yield identical labelings.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import accumulate
 
+from ._record import Record
 from .graph import (CaterpillarShape, SpiderShape, Tree, bipartition_sizes,
                     recognize_caterpillar, recognize_spider)
 from .labeling import EvaluatedLabeling, Labeling, differential_value
@@ -44,12 +44,12 @@ class Optimality(enum.Enum):
     NOT_PROVED = "unknown"
 
 
-@dataclass(frozen=True)
-class SchemeResult:
-    scheme: str
-    labeling: EvaluatedLabeling
-    guarantee: int
-    optimal: Optimality
+class SchemeResult(Record):
+    _fields = ("scheme", "labeling", "guarantee", "optimal")
+
+    def __init__(self, scheme: str, labeling: EvaluatedLabeling, guarantee: int,
+                 optimal: Optimality):
+        super().__init__(scheme, labeling, guarantee, optimal)
 
     @property
     def value(self) -> int:
@@ -191,8 +191,7 @@ def label_spider_all_odd(shape: SpiderShape) -> SchemeResult:
                    Optimality.PROVED)
 
 
-@dataclass(frozen=True)
-class MarkingState:
+class MarkingState(Record):
     """Marking-phase outcome for the general caterpillar scheme.
 
     The seven groups partition the vertices. middle receives ceil(n/2);
@@ -202,14 +201,15 @@ class MarkingState:
     that adopted them.
     """
 
-    low_spine: frozenset[int]
-    high_spine: frozenset[int]
-    middle: int
-    low_legs: frozenset[int]
-    high_legs: frozenset[int]
-    middle_low_legs: tuple[int, ...]
-    middle_high_legs: tuple[int, ...]
-    pseudo_leg_owner: tuple[tuple[int, int], ...]
+    _fields = ("low_spine", "high_spine", "middle", "low_legs", "high_legs",
+               "middle_low_legs", "middle_high_legs", "pseudo_leg_owner")
+
+    def __init__(self, low_spine: frozenset[int], high_spine: frozenset[int], middle: int,
+                 low_legs: frozenset[int], high_legs: frozenset[int],
+                 middle_low_legs: tuple[int, ...], middle_high_legs: tuple[int, ...],
+                 pseudo_leg_owner: tuple[tuple[int, int], ...]):
+        super().__init__(low_spine, high_spine, middle, low_legs, high_legs,
+                         middle_low_legs, middle_high_legs, pseudo_leg_owner)
 
     def validate(self, shape: CaterpillarShape) -> None:
         n = shape.n
@@ -228,15 +228,19 @@ class MarkingState:
             raise SchemeError("high-side total is not floor(n/2)")
 
 
-@dataclass
-class _Marking:
-    """Position-level marking data (spine indices, not vertex ids)."""
+class _Marking(Record):
+    """Position-level marking data (spine indices, not vertex ids). Its lists
+    and dict make it unhashable."""
 
-    mid: int                      # spine position receiving the middle label
-    low_side: list[bool]          # spine position -> destined-low side
-    in_spine: list[bool]          # False once a position became another's pseudo-leg
-    pseudo_owner: dict[int, int]  # pseudo-leg position -> owner position
-    low_mid_count: int            # of the middle vertex's legs, how many go low
+    _fields = ("mid", "low_side", "in_spine", "pseudo_owner", "low_mid_count")
+
+    def __init__(self,
+                 mid: int,                      # spine position receiving the middle label
+                 low_side: list[bool],          # spine position -> destined-low side
+                 in_spine: list[bool],          # False once a position became another's pseudo-leg
+                 pseudo_owner: dict[int, int],  # pseudo-leg position -> owner position
+                 low_mid_count: int):           # of the middle vertex's legs, how many go low
+        super().__init__(mid, low_side, in_spine, pseudo_owner, low_mid_count)
 
 
 def _mark_positions(shape: CaterpillarShape) -> _Marking:

@@ -284,8 +284,8 @@ class TestErrors:
     def test_import_skips_process_pool(self):
         # Every subcommand pays for what diffcolor.cli imports.
         code = ("import sys, diffcolor.cli; "
-                "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
-                "if m in sys.modules))")
+                "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', "
+                "'dataclasses', 'inspect') if m in sys.modules))")
         src = str(Path(diffcolor.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run([sys.executable, "-c", code], env=env,

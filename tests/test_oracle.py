@@ -110,6 +110,13 @@ class TestLimits:
             exact_dc(t, timeout_ms=0)
         assert info.value.bracket == (1, 6)  # nothing ruled out yet
 
+    def test_decision_timeout_rules_nothing_out(self):
+        t = gen_regular_caterpillar(6, 1)[0]  # dc = 6
+        with pytest.raises(OracleTimeoutError) as info:
+            decision_dc_at_least(t, 3, timeout_ms=0)
+        low, high = info.value.bracket
+        assert low <= exact_dc(t).dc <= high
+
     def test_timeout_keeps_explored_nodes(self):
         rng = random.Random(0)
         t = Tree(16, tuple(pruefer_to_edges([rng.randrange(16) for _ in range(14)], 16)))

@@ -1,5 +1,6 @@
-"""Hypothesis properties of recognition, evaluation and the schemes on
-caterpillars and spiders (n <= 200) with randomly permuted vertex ids."""
+"""Hypothesis properties of recognition, evaluation, the schemes and the
+graph file format on caterpillars and spiders (n <= 200) with randomly
+permuted vertex ids."""
 
 import random
 
@@ -7,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diffcolor import (Labeling, Tree, differential_value, gen_caterpillar,
-                       gen_spider, label_auto, recognize_caterpillar,
-                       recognize_spider, upper_bound_report)
+                       gen_spider, label_auto, parse_graph,
+                       recognize_caterpillar, recognize_spider,
+                       upper_bound_report, write_graph)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -26,6 +28,11 @@ def parity_uniform_spiders(draw):
     odd = draw(st.booleans())
     halves = draw(st.lists(st.integers(0, 7), min_size=1, max_size=12))
     return gen_spider([2 * k + (1 if odd else 2) for k in halves])[0]
+
+
+@st.composite
+def spiders(draw):
+    return gen_spider(draw(st.lists(st.integers(1, 15), min_size=1, max_size=12)))[0]
 
 
 @st.composite
@@ -52,3 +59,15 @@ def test_shapes_schemes_and_bounds_agree(tree, seed):
         assert differential_value(shape, labeling) == differential_value(tree, labeling)
     result = label_auto(tree)
     assert result.guarantee <= result.value <= upper_bound_report(tree).best
+
+
+@given(relabeled(caterpillars() | spiders()))
+def test_graph_file_round_trip(tree):
+    back = parse_graph(write_graph(tree))
+    assert back == tree and hash(back) == hash(tree)
+
+
+@given(relabeled(caterpillars() | spiders()), seeds)
+def test_complement_keeps_the_value(tree, seed):
+    labeling = Labeling(tuple(random.Random(seed).sample(range(1, tree.n + 1), tree.n)))
+    assert differential_value(tree, labeling.complement()) == differential_value(tree, labeling)

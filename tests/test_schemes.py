@@ -307,13 +307,13 @@ def test_label_auto_builds_no_tree(monkeypatch, scheme, tree):
     """Schemes check their labels on the recognized shape, not on a rebuilt Tree."""
     tree = parse_graph(write_graph(tree))
     built = []
-    post_init = Tree.__post_init__
+    init = Tree.__init__
 
-    def counting_post_init(self):
-        built.append(self.n)
-        post_init(self)
+    def counting_init(self, n, edges):
+        built.append(n)
+        init(self, n, edges)
 
-    monkeypatch.setattr(Tree, "__post_init__", counting_post_init)
+    monkeypatch.setattr(Tree, "__init__", counting_init)
     assert label_auto(tree).scheme == scheme
     assert built == []
 
