@@ -155,7 +155,7 @@ def _read_labeling(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
             raise CliError(f"malformed labeling file {path}: {exc}") from exc
     return labeling_from_json(obj)
 

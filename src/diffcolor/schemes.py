@@ -228,22 +228,8 @@ class MarkingState(Record):
             raise SchemeError("high-side total is not floor(n/2)")
 
 
-class _Marking(Record):
-    """Position-level marking data (spine indices, not vertex ids). Its lists
-    and dict make it unhashable."""
-
-    _fields = ("mid", "low_side", "in_spine", "pseudo_owner", "low_mid_count")
-
-    def __init__(self,
-                 mid: int,                      # spine position receiving the middle label
-                 low_side: list[bool],          # spine position -> destined-low side
-                 in_spine: list[bool],          # False once a position became another's pseudo-leg
-                 pseudo_owner: dict[int, int],  # pseudo-leg position -> owner position
-                 low_mid_count: int):           # of the middle vertex's legs, how many go low
-        super().__init__(mid, low_side, in_spine, pseudo_owner, low_mid_count)
-
-
-def _mark_positions(shape: CaterpillarShape) -> _Marking:
+def mark_caterpillar(shape: CaterpillarShape) -> MarkingState:
+    """Run the marking phase and return the vertex-level groups, validated."""
     s, n = shape.s, shape.n
     counts = shape.leg_counts
     # Alternate sides along the spine, then scan right to left for the vertex
@@ -257,7 +243,6 @@ def _mark_positions(shape: CaterpillarShape) -> _Marking:
         excl_highs = highs - (counts[i] if low_side[i] else 1)
         if 2 * excl_lows < n and 2 * excl_highs <= n:
             mid = i
-            lows, highs = excl_lows, excl_highs
             break
         low_side[i] = not low_side[i]
         lows = excl_lows + (1 if low_side[i] else counts[i])
@@ -265,84 +250,51 @@ def _mark_positions(shape: CaterpillarShape) -> _Marking:
     if mid == -1:
         raise SchemeError("balance condition never achieved along the spine")
 
-    # Legless spine vertices become pseudo-legs of their right neighbor; a
-    # pseudo-leg keeps its side but moves from the spine group to the legs.
+    # Legless spine vertices become pseudo-legs of their right neighbor unless
+    # they own one already; a pseudo-leg keeps its side but moves from the
+    # spine group to the legs, unless its owner is the middle vertex.
     in_spine = [True] * s
-    pseudo_owner: dict[int, int] = {}
-    owns_pseudo = [False] * s
+    pseudo_owner: dict[int, int] = {}  # pseudo-leg position -> owner position
     for i in range(s - 1):
-        if i == mid:
-            continue
-        if counts[i] == 0 and not owns_pseudo[i]:
-            owner = i + 1
-            pseudo_owner[i] = owner
-            owns_pseudo[owner] = True
-            if owner != mid:
-                in_spine[i] = False
+        if i != mid and counts[i] == 0 and i - 1 not in pseudo_owner:
+            pseudo_owner[i] = i + 1
+            in_spine[i] = i + 1 == mid
 
     # The right spine neighbor of the middle vertex, if it became a pseudo-leg,
     # is re-adopted by the middle vertex and returns to its spine group so the
     # middle vertex's two neighbors occupy one low and one high spine slot.
     j = mid + 1
-    if j < s and j in pseudo_owner and not in_spine[j]:
+    if j < s and not in_spine[j]:
         pseudo_owner[j] = mid
         in_spine[j] = True
         if mid - 1 >= 0 and low_side[mid - 1] == low_side[j]:
             low_side[j] = not low_side[j]
 
-    low_count = sum(1 for i in range(s) if i != mid and in_spine[i] and low_side[i])
-    high_count = sum(1 for i in range(s) if i != mid and in_spine[i] and not low_side[i])
-    low_leg_count = sum(counts[i] for i in range(s)
-                        if i != mid and in_spine[i] and not low_side[i])
-    low_leg_count += sum(1 for i, o in pseudo_owner.items()
-                         if not in_spine[i] and not low_side[o])
-    high_leg_count = sum(counts[i] for i in range(s)
-                         if i != mid and in_spine[i] and low_side[i])
-    high_leg_count += sum(1 for i, o in pseudo_owner.items()
-                          if not in_spine[i] and low_side[o])
-
-    low_mid_count = (n + 1) // 2 - low_count - low_leg_count - 1
-    high_mid_count = n // 2 - high_count - high_leg_count
+    spine, legs = shape.spine_vertices, shape.leg_vertices
+    low_spine, high_spine, low_legs, high_legs = set(), set(), set(), set()
+    for i in range(s):
+        if i == mid:
+            continue
+        if in_spine[i]:
+            (low_spine if low_side[i] else high_spine).add(spine[i])
+            (high_legs if low_side[i] else low_legs).update(legs[i])
+        else:
+            (high_legs if low_side[pseudo_owner[i]] else low_legs).add(spine[i])
+    low_mid_count = (n + 1) // 2 - len(low_spine) - len(low_legs) - 1
+    high_mid_count = n // 2 - len(high_spine) - len(high_legs)
     if not (0 <= low_mid_count and 0 <= high_mid_count
             and low_mid_count + high_mid_count == counts[mid]):
         raise SchemeError("middle-leg split sizes fall outside 0..legs(middle)")
-    return _Marking(mid, low_side, in_spine, pseudo_owner, low_mid_count)
-
-
-def mark_caterpillar(shape: CaterpillarShape) -> MarkingState:
-    """Run the marking phase and return the vertex-level group assignment."""
-    return _marking_state(shape, _mark_positions(shape))
-
-
-def _marking_state(shape: CaterpillarShape, pm: _Marking) -> MarkingState:
-    """Vertex-level groups of a position-level marking, validated."""
-    s = shape.s
-    spine = shape.spine_vertices
-    low_spine, high_spine, low_legs, high_legs = set(), set(), set(), set()
-    for i in range(s):
-        if i == pm.mid:
-            continue
-        if pm.in_spine[i]:
-            (low_spine if pm.low_side[i] else high_spine).add(spine[i])
-        else:
-            owner = pm.pseudo_owner[i]
-            (high_legs if pm.low_side[owner] else low_legs).add(spine[i])
-    for i in range(s):
-        if i == pm.mid or not pm.in_spine[i]:
-            continue
-        dest = high_legs if pm.low_side[i] else low_legs
-        dest.update(shape.leg_vertices[i])
-    mid_legs = shape.leg_vertices[pm.mid]
     state = MarkingState(
         low_spine=frozenset(low_spine),
         high_spine=frozenset(high_spine),
-        middle=spine[pm.mid],
+        middle=spine[mid],
         low_legs=frozenset(low_legs),
         high_legs=frozenset(high_legs),
-        middle_low_legs=tuple(mid_legs[:pm.low_mid_count]),
-        middle_high_legs=tuple(mid_legs[pm.low_mid_count:]),
+        middle_low_legs=tuple(legs[mid][:low_mid_count]),
+        middle_high_legs=tuple(legs[mid][low_mid_count:]),
         pseudo_leg_owner=tuple(sorted((spine[i], spine[o])
-                                      for i, o in pm.pseudo_owner.items())),
+                                      for i, o in pseudo_owner.items())),
     )
     state.validate(shape)
     return state
@@ -363,86 +315,69 @@ def label_general_caterpillar(shape: CaterpillarShape) -> SchemeResult:
         raise NotApplicable("general caterpillar scheme needs n >= 2")
     n, s = shape.n, shape.s
     spine = shape.spine_vertices
-    pm = _mark_positions(shape)
-    _marking_state(shape, pm)  # group-level invariant check; raises on violation
-    mid = pm.mid
+    state = mark_caterpillar(shape)
+    # A spine vertex other than the middle one that is in neither group is a pseudo-leg.
+    low, high = state.low_spine, state.high_spine
+    mid = spine.index(state.middle)
     ceil_half = (n + 1) // 2
 
     labels = [0] * n
-    labels[spine[mid]] = ceil_half
-    mid_legs = shape.leg_vertices[mid]
-    lm = pm.low_mid_count
-    hm = len(mid_legs) - lm
-    for idx, v in enumerate(mid_legs[:lm]):
+    labels[state.middle] = ceil_half
+    lm, hm = len(state.middle_low_legs), len(state.middle_high_legs)
+    for idx, v in enumerate(state.middle_low_legs):
         labels[v] = 1 + idx
-    for idx, v in enumerate(mid_legs[lm:]):
+    for idx, v in enumerate(state.middle_high_legs):
         labels[v] = n - hm + 1 + idx
-
-    spine_positions = [i for i in range(s) if i != mid and pm.in_spine[i]]
-    low_count = sum(1 for i in spine_positions if pm.low_side[i])
-    high_count = len(spine_positions) - low_count
-    low_values = list(range(lm + 1, lm + low_count + 1))
-    high_values = list(range(n - hm - high_count + 1, n - hm + 1))
+    low_values = list(range(lm + 1, lm + len(low) + 1))
+    high_values = list(range(n - hm - len(high) + 1, n - hm + 1))
 
     # The middle vertex's spine neighbors take the innermost spine numbers:
     # the low neighbor the lowest low value, the high neighbor the highest high.
-    neighbors = [j for j in (mid - 1, mid + 1) if 0 <= j < s]
-    if len(neighbors) == 2 and pm.low_side[neighbors[0]] == pm.low_side[neighbors[1]]:
-        raise SchemeError("middle vertex's spine neighbors landed on one side")
-    for j in neighbors:
-        if not pm.in_spine[j]:
+    neighbors = [spine[j] for j in (mid - 1, mid + 1) if 0 <= j < s]
+    for v in neighbors:
+        if v not in low and v not in high:
             raise SchemeError("middle vertex's spine neighbor lost its spine slot")
-        if pm.low_side[j]:
-            labels[spine[j]] = low_values.pop(0)
-        else:
-            labels[spine[j]] = high_values.pop()
+    if len(neighbors) == 2 and (neighbors[0] in low) == (neighbors[1] in low):
+        raise SchemeError("middle vertex's spine neighbors landed on one side")
+    for v in neighbors:
+        labels[v] = low_values.pop(0) if v in low else high_values.pop()
 
     # Walk the spine cyclically away from the middle vertex, oriented so the
     # pinned low neighbor is the walk's first vertex and the pinned high
     # neighbor its last; then low/high ranks stay aligned along the spine
     # (in particular across pseudo-legs, whose two spine neighbors share a
     # side) and every adjacent difference meets the guarantee.
-    if neighbors:
-        if mid - 1 >= 0:
-            leftward = pm.low_side[mid - 1]
-        else:
-            leftward = not pm.low_side[mid + 1]
-    else:
-        leftward = True
+    if mid > 0:
+        leftward = spine[mid - 1] in low
+    else:  # on a one-vertex spine the walk is empty either way
+        leftward = s > 1 and spine[1] in high
     if leftward:
-        walk = list(range(mid - 1, -1, -1)) + list(range(s - 1, mid, -1))
+        walk = [*range(mid - 1, -1, -1), *range(s - 1, mid, -1)]
     else:
-        walk = list(range(mid + 1, s)) + list(range(0, mid))
-    low_iter = iter(low_values)
-    high_iter = iter(high_values)
+        walk = [*range(mid + 1, s), *range(mid)]
+    low_iter, high_iter = iter(low_values), iter(high_values)
+    low_owners, high_owners = [], []
     for j in walk:
-        if not pm.in_spine[j] or labels[spine[j]]:
-            continue
-        labels[spine[j]] = next(low_iter) if pm.low_side[j] else next(high_iter)
+        v = spine[j]
+        if v in low:
+            low_owners.append(j)
+            labels[v] = labels[v] or next(low_iter)
+        elif v in high:
+            high_owners.append(j)
+            labels[v] = labels[v] or next(high_iter)
 
-    pseudo_legs: dict[int, list[int]] = {}
-    for i, o in pm.pseudo_owner.items():
-        if not pm.in_spine[i]:
-            pseudo_legs.setdefault(o, []).append(spine[i])
+    # owner -> the pseudo-leg that left the spine for it (each owns at most one)
+    pseudo_legs = {o: (v,) for v, o in state.pseudo_leg_owner if v not in low and v not in high}
 
-    def leg_group(owner: int) -> list[int]:
-        return [*shape.leg_vertices[owner], *pseudo_legs.get(owner, ())]
-
-    low_owners = [j for j in spine_positions if pm.low_side[j]]
-    low_owners.sort(key=lambda j: labels[spine[j]])
-    high_value = ceil_half + 1
-    for owner in low_owners:
-        for v in leg_group(owner):
-            labels[v] = high_value
-            high_value += 1
-
-    high_owners = [j for j in spine_positions if not pm.low_side[j]]
-    high_owners.sort(key=lambda j: labels[spine[j]], reverse=True)
-    low_value = ceil_half - 1
-    for owner in high_owners:
-        for v in leg_group(owner):
-            labels[v] = low_value
-            low_value -= 1
+    # Legs fill the mid-range outward from ceil(n/2), grouped by owner: low
+    # owners' legs upward by their owner's number, high owners' downward.
+    for owners, value, step in ((low_owners, ceil_half + 1, 1),
+                                (high_owners, ceil_half - 1, -1)):
+        owners.sort(key=lambda j: labels[spine[j]], reverse=step < 0)
+        for j in owners:
+            for v in (*shape.leg_vertices[j], *pseudo_legs.get(spine[j], ())):
+                labels[v] = value
+                value += step
 
     guarantee = ceil_half - shape.delta - 2
     return _finish("general-cat", shape, labels, guarantee, None,

@@ -281,6 +281,17 @@ class TestErrors:
         code, _, err = capture(["bound", "--in", str(path)])
         assert code == 2 and "line 2" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    def test_deeply_nested_labeling_rejected(self, tmp_path, command):
+        # json's decoder raises RecursionError, not JSONDecodeError, on deep nesting
+        g = tmp_path / "p3.gr"
+        g.write_text("p 3 2\ne 1 2\ne 2 3\n")
+        lab = tmp_path / "lab.json"
+        lab.write_text("[" * 5000 + "]" * 5000)
+        code, out, err = capture([command, "--in", str(g), "--labeling", str(lab)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed labeling file") and err.count("\n") == 1
+
     def test_import_skips_process_pool(self):
         # Every subcommand pays for what diffcolor.cli imports.
         code = ("import sys, diffcolor.cli; "

@@ -8,9 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diffcolor import (Labeling, Tree, differential_value, gen_caterpillar,
-                       gen_spider, label_auto, parse_graph,
-                       recognize_caterpillar, recognize_spider,
-                       upper_bound_report, write_graph)
+                       gen_spider, label_auto, label_general_caterpillar,
+                       mark_caterpillar, parse_graph, recognize_caterpillar,
+                       recognize_spider, upper_bound_report, write_graph)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -71,3 +71,18 @@ def test_graph_file_round_trip(tree):
 def test_complement_keeps_the_value(tree, seed):
     labeling = Labeling(tuple(random.Random(seed).sample(range(1, tree.n + 1), tree.n)))
     assert differential_value(tree, labeling.complement()) == differential_value(tree, labeling)
+
+
+@given(relabeled(caterpillars()))
+def test_general_cat_labels_follow_the_marking(tree):
+    """The middle vertex gets ceil(n/2), the three low groups smaller numbers
+    and the three high groups larger ones (every drawn caterpillar has n >= 2)."""
+    shape = recognize_caterpillar(tree)
+    state = mark_caterpillar(shape)
+    labels = label_general_caterpillar(shape).labeling.labeling.labels
+    middle = (tree.n + 1) // 2
+    assert labels[state.middle] == middle
+    assert all(labels[v] < middle
+               for v in (*state.low_spine, *state.low_legs, *state.middle_low_legs))
+    assert all(labels[v] > middle
+               for v in (*state.high_spine, *state.high_legs, *state.middle_high_legs))

@@ -6,7 +6,6 @@ import pytest
 from diffcolor import (BoundReport, CaterpillarShape, EvaluatedLabeling,
                        ExactResult, Labeling, MarkingState, Optimality,
                        SchemeResult, SpiderShape, Tree)
-from diffcolor.schemes import _Marking
 
 LAB = Labeling((2, 1, 3))
 
@@ -36,11 +35,6 @@ RECORDS = [
      "MarkingState(low_spine=frozenset({0}), high_spine=frozenset({1}), middle=2, "
      "low_legs=frozenset(), high_legs=frozenset({3}), middle_low_legs=(4,), "
      "middle_high_legs=(5,), pseudo_leg_owner=((1, 2),))"),
-    (_Marking,
-     dict(mid=2, low_side=[True, False, True], in_spine=[True, True, True],
-          pseudo_owner={1: 2}, low_mid_count=1),
-     "_Marking(mid=2, low_side=[True, False, True], in_spine=[True, True, True], "
-     "pseudo_owner={1: 2}, low_mid_count=1)"),
     (BoundReport, dict(entries=(("thm1", 2), ("thm3", 2))),
      "BoundReport(entries=(('thm1', 2), ('thm3', 2)))"),
     (ExactResult, dict(dc=2, witness=Labeling((1, 3, 2)), nodes=7, millis=0),
@@ -56,8 +50,7 @@ class TestRecordContract:
     def test_equal_fields_equal_records(self, cls, fields, text):
         a, b = cls(**fields), cls(*fields.values())
         assert a == b and not a != b
-        if cls is not _Marking:  # holds lists and a dict
-            assert hash(a) == hash(b)
+        assert hash(a) == hash(b)
 
     def test_not_equal_to_a_tuple(self, cls, fields, text):
         values = tuple(fields.values())
@@ -65,10 +58,7 @@ class TestRecordContract:
         assert values != cls(**fields)
 
 
-FROZEN = [r for r in RECORDS if r[0] is not _Marking]  # _Marking is scheme-internal
-
-
-@pytest.mark.parametrize("cls, fields, text", FROZEN, ids=[r[0].__name__ for r in FROZEN])
+@pytest.mark.parametrize("cls, fields, text", RECORDS, ids=[r[0].__name__ for r in RECORDS])
 def test_fields_cannot_be_assigned(cls, fields, text):
     record = cls(**fields)
     for name, value in fields.items():

@@ -5,14 +5,15 @@ import time
 
 import pytest
 
-from diffcolor import (NotApplicable, NotATreeError, Optimality, SchemeError,
-                       Tree, differential_value, gen_caterpillar,
+from diffcolor import (MarkingState, NotApplicable, NotATreeError, Optimality,
+                       SchemeError, Tree, differential_value, gen_caterpillar,
                        gen_random_caterpillar, gen_regular_caterpillar,
                        gen_spider, label_auto,
                        label_general_caterpillar, label_regular_caterpillar,
                        label_spider_all_even, label_spider_all_odd,
                        mark_caterpillar, mp_value, parse_graph,
                        recognize_caterpillar, upper_bound_report, write_graph)
+from diffcolor import schemes
 from diffcolor.schemes import SCHEMES, _finish, run_scheme
 from helpers import free_trees, length_multisets, path_graph
 
@@ -184,6 +185,68 @@ class TestGeneralCaterpillar:
         shape = recognize_caterpillar(Tree(1, ()))
         with pytest.raises(ValueError, match="n >= 2"):
             label_general_caterpillar(shape)
+
+
+# mark_caterpillar of gen_caterpillar([3, 3]) (n = 8), field by field
+MARKED_3_3 = dict(low_spine=frozenset({0}), high_spine=frozenset(), middle=1,
+                  low_legs=frozenset(), high_legs=frozenset({2, 3, 4}),
+                  middle_low_legs=(5, 6), middle_high_legs=(7,), pseudo_leg_owner=())
+
+
+class TestMarkingCheck:
+    def test_unchanged_state_passes(self):
+        _, shape = gen_caterpillar([3, 3])
+        assert mark_caterpillar(shape) == MarkingState(**MARKED_3_3)
+        MarkingState(**MARKED_3_3).validate(shape)
+
+    # Each state breaks one rule and keeps the ones checked before it. With
+    # the partition holding, the high-side total can only be off through a
+    # repeated middle leg, which the set-based partition check does not see.
+    @pytest.mark.parametrize("changes, message", [
+        (dict(middle_low_legs=(5,)), "do not partition the vertices"),
+        (dict(low_legs=frozenset({5, 6, 7}), middle_low_legs=(), middle_high_legs=()),
+         "violates the balance condition"),
+        (dict(middle_low_legs=(5, 6, 7), middle_high_legs=()), "low-side total"),
+        (dict(middle_high_legs=(7, 7)), "high-side total"),
+    ], ids=["partition", "balance", "low-side", "high-side"])
+    def test_each_rule_raises(self, changes, message):
+        _, shape = gen_caterpillar([3, 3])
+        with pytest.raises(SchemeError, match=message):
+            MarkingState(**{**MARKED_3_3, **changes}).validate(shape)
+
+    def test_label_fails_when_the_check_fails(self, monkeypatch):
+        def reject(self, shape):
+            raise SchemeError("rejected")
+
+        monkeypatch.setattr(MarkingState, "validate", reject)
+        with pytest.raises(SchemeError, match="rejected"):
+            label_general_caterpillar(gen_caterpillar([3, 3])[1])
+
+    def test_check_runs_once_per_label(self, monkeypatch):
+        calls = []
+        check = MarkingState.validate
+
+        def counting(self, shape):
+            calls.append(shape)
+            check(self, shape)
+
+        monkeypatch.setattr(MarkingState, "validate", counting)
+        for count, legs in enumerate(([3, 3], [1, 0, 1], [2, 0, 0, 1, 0, 3]), start=1):
+            label_general_caterpillar(gen_caterpillar(legs)[1])
+            assert len(calls) == count
+
+    def test_labeler_marks_once(self, monkeypatch):
+        calls = []
+        mark = schemes.mark_caterpillar
+
+        def counting(shape):
+            calls.append(shape)
+            return mark(shape)
+
+        monkeypatch.setattr(schemes, "mark_caterpillar", counting)
+        _, shape = gen_caterpillar([2, 0, 0, 1, 0, 3])
+        label_general_caterpillar(shape)
+        assert calls == [shape]
 
 
 class TestMpValue:
