@@ -281,12 +281,14 @@ class SpiderShape(Record):
         ending = [0] * (max(self.path_lengths) + 1)
         for length in self.path_lengths:
             ending[length] += 1
-        return tuple(accumulate(reversed(ending)))[::-1]
+        reaching = tuple(accumulate(reversed(ending)))[::-1]
+        return (1, *reaching[1:])  # level 0 is the center alone
 
     def level_count(self, level: int) -> int:
-        """Number of vertices at the given level (paths long enough to reach it)."""
+        """Number of vertices at the given level (paths long enough to reach
+        it for level >= 1, the center at level 0, none below)."""
         counts = self.level_counts
-        return counts[max(level, 0)] if level < len(counts) else 0
+        return counts[level] if 0 <= level < len(counts) else 0
 
     @property
     def max_level(self) -> int:

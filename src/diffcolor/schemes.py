@@ -251,31 +251,23 @@ def mark_caterpillar(shape: CaterpillarShape) -> MarkingState:
         raise SchemeError("balance condition never achieved along the spine")
 
     # Legless spine vertices become pseudo-legs of their right neighbor unless
-    # they own one already; a pseudo-leg keeps its side but moves from the
-    # spine group to the legs, unless its owner is the middle vertex.
-    in_spine = [True] * s
+    # they own one already, except that the middle vertex adopts its legless
+    # right neighbor. A pseudo-leg keeps its side and moves from the spine
+    # group to the legs unless its owner is the middle vertex, so both of the
+    # middle vertex's spine neighbors keep their slots. They lie on opposite
+    # sides: the alternation put mid - 1 and mid + 1 on one side, and the
+    # balance scan flipped every position right of mid exactly once.
     pseudo_owner: dict[int, int] = {}  # pseudo-leg position -> owner position
     for i in range(s - 1):
         if i != mid and counts[i] == 0 and i - 1 not in pseudo_owner:
-            pseudo_owner[i] = i + 1
-            in_spine[i] = i + 1 == mid
-
-    # The right spine neighbor of the middle vertex, if it became a pseudo-leg,
-    # is re-adopted by the middle vertex and returns to its spine group so the
-    # middle vertex's two neighbors occupy one low and one high spine slot.
-    j = mid + 1
-    if j < s and not in_spine[j]:
-        pseudo_owner[j] = mid
-        in_spine[j] = True
-        if mid - 1 >= 0 and low_side[mid - 1] == low_side[j]:
-            low_side[j] = not low_side[j]
+            pseudo_owner[i] = mid if i == mid + 1 else i + 1
 
     spine, legs = shape.spine_vertices, shape.leg_vertices
     low_spine, high_spine, low_legs, high_legs = set(), set(), set(), set()
     for i in range(s):
         if i == mid:
             continue
-        if in_spine[i]:
+        if pseudo_owner.get(i, mid) == mid:
             (low_spine if low_side[i] else high_spine).add(spine[i])
             (high_legs if low_side[i] else low_legs).update(legs[i])
         else:
@@ -304,12 +296,12 @@ def label_general_caterpillar(shape: CaterpillarShape) -> SchemeResult:
     """Label any caterpillar with guaranteed value >= ceil(n/2) - delta - 2.
 
     Marking picks a middle spine vertex splitting the rest evenly, turns
-    legless spine vertices into pseudo-legs of their right neighbors, and
-    splits the middle vertex's legs between the extreme low and extreme high
-    numbers. Labeling walks the spine cyclically leftward from the middle
-    vertex, handing low spine slots ascending low numbers and high spine
-    slots ascending high numbers, then fills the mid-range with the legs,
-    grouped by owner.
+    legless spine vertices into pseudo-legs of a spine neighbor, and splits
+    the middle vertex's legs between the extreme low and extreme high
+    numbers. Labeling walks the spine cyclically away from the middle vertex,
+    oriented so that its low spine neighbor comes first, handing low spine
+    slots ascending low numbers and high spine slots ascending high numbers
+    in walk order, then fills the mid-range with the legs, grouped by owner.
     """
     if shape.n < 2:
         raise NotApplicable("general caterpillar scheme needs n >= 2")
@@ -328,25 +320,14 @@ def label_general_caterpillar(shape: CaterpillarShape) -> SchemeResult:
         labels[v] = 1 + idx
     for idx, v in enumerate(state.middle_high_legs):
         labels[v] = n - hm + 1 + idx
-    low_values = list(range(lm + 1, lm + len(low) + 1))
-    high_values = list(range(n - hm - len(high) + 1, n - hm + 1))
 
-    # The middle vertex's spine neighbors take the innermost spine numbers:
-    # the low neighbor the lowest low value, the high neighbor the highest high.
-    neighbors = [spine[j] for j in (mid - 1, mid + 1) if 0 <= j < s]
-    for v in neighbors:
-        if v not in low and v not in high:
-            raise SchemeError("middle vertex's spine neighbor lost its spine slot")
-    if len(neighbors) == 2 and (neighbors[0] in low) == (neighbors[1] in low):
-        raise SchemeError("middle vertex's spine neighbors landed on one side")
-    for v in neighbors:
-        labels[v] = low_values.pop(0) if v in low else high_values.pop()
-
-    # Walk the spine cyclically away from the middle vertex, oriented so the
-    # pinned low neighbor is the walk's first vertex and the pinned high
-    # neighbor its last; then low/high ranks stay aligned along the spine
-    # (in particular across pseudo-legs, whose two spine neighbors share a
-    # side) and every adjacent difference meets the guarantee.
+    # Walk the spine cyclically away from the middle vertex, oriented so its
+    # low spine neighbor is the walk's first vertex and its high neighbor the
+    # last; the marking puts the two on opposite sides. Numbers follow the
+    # walk, so those neighbors take the innermost spine numbers, low/high
+    # ranks stay aligned along the spine (in particular across pseudo-legs,
+    # whose two spine neighbors share a side) and every adjacent difference
+    # meets the guarantee.
     if mid > 0:
         leftward = spine[mid - 1] in low
     else:  # on a one-vertex spine the walk is empty either way
@@ -355,25 +336,20 @@ def label_general_caterpillar(shape: CaterpillarShape) -> SchemeResult:
         walk = [*range(mid - 1, -1, -1), *range(s - 1, mid, -1)]
     else:
         walk = [*range(mid + 1, s), *range(mid)]
-    low_iter, high_iter = iter(low_values), iter(high_values)
-    low_owners, high_owners = [], []
-    for j in walk:
-        v = spine[j]
-        if v in low:
-            low_owners.append(j)
-            labels[v] = labels[v] or next(low_iter)
-        elif v in high:
-            high_owners.append(j)
-            labels[v] = labels[v] or next(high_iter)
+    low_owners = [j for j in walk if spine[j] in low]
+    high_owners = [j for j in walk if spine[j] in high]
+    for value, j in enumerate(low_owners, start=lm + 1):
+        labels[spine[j]] = value
+    for value, j in enumerate(high_owners, start=n - hm - len(high) + 1):
+        labels[spine[j]] = value
 
     # owner -> the pseudo-leg that left the spine for it (each owns at most one)
     pseudo_legs = {o: (v,) for v, o in state.pseudo_leg_owner if v not in low and v not in high}
 
     # Legs fill the mid-range outward from ceil(n/2), grouped by owner: low
-    # owners' legs upward by their owner's number, high owners' downward.
+    # owners' legs upward in walk order, high owners' downward in reverse.
     for owners, value, step in ((low_owners, ceil_half + 1, 1),
-                                (high_owners, ceil_half - 1, -1)):
-        owners.sort(key=lambda j: labels[spine[j]], reverse=step < 0)
+                                (reversed(high_owners), ceil_half - 1, -1)):
         for j in owners:
             for v in (*shape.leg_vertices[j], *pseudo_legs.get(spine[j], ())):
                 labels[v] = value

@@ -274,6 +274,29 @@ class TestErrors:
         code, out, err = capture(["bound", "--in", str(path)])
         assert (code, out, err) == (2, "", "error: input graph is disconnected\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("p 3 2\ne 1 2\np 3 2\n", "line 3: duplicate header"),
+        ("", "line 1: missing header"),
+        ("c only a comment\n", "line 1: missing header"),
+    ], ids=["duplicate", "empty", "comment-only"])
+    def test_header_errors(self, tmp_path, text, message):
+        path = tmp_path / "bad.gr"
+        path.write_text(text)
+        assert capture(["bound", "--in", str(path)]) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--family", "cat"], "cat requires --leg-list"),
+        (["--family", "spider"], "spider requires --paths"),
+        (["--family", "sec53"], "sec53 requires --k and --delta"),
+        (["--family", "sec53", "--k", "0", "--delta", "1"], "sec53 requires k >= 1 and delta >= 1"),
+        (["--family", "cat", "--leg-list", "1,x"],
+         "malformed --leg-list '1,x': invalid literal for int() with base 10: 'x'"),
+        (["--family", "cat", "--leg-list", "1,-1,1"], "leg counts must be non-negative"),
+        (["--family", "random-cat", "--seed", "1", "--spine", "0"], "bounds must be positive"),
+    ])
+    def test_family_flag_errors(self, flags, message):
+        assert capture(["label", *flags]) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("digit", ["\uff11", "\u0661", "\u00b2"])
     def test_non_ascii_digit_rejected(self, tmp_path, digit):
         path = tmp_path / "bad.gr"

@@ -84,6 +84,15 @@ class TestParseGraph:
         with pytest.raises(GraphParseError, match="line 3"):
             parse_graph("p 3 1\ne 1 2\ne 2 3\n")
 
+    def test_duplicate_header(self):
+        with pytest.raises(GraphParseError, match="^line 3: duplicate header$"):
+            parse_graph("p 3 2\ne 1 2\np 3 2\n")
+
+    @pytest.mark.parametrize("text", ["", "c only a comment\n"], ids=["empty", "comment-only"])
+    def test_missing_header(self, text):
+        with pytest.raises(GraphParseError, match="^line 1: missing header$"):
+            parse_graph(text)
+
     def test_edge_before_header(self):
         with pytest.raises(GraphParseError, match="line 1.*before header"):
             parse_graph("e 1 2\np 2 1\n")
@@ -245,9 +254,12 @@ class TestShapeInvariants:
                 _, shape = gen_spider(lengths)
                 assert shape.n == shape.n_even + shape.n_odd + 1
                 assert shape.n_odd - shape.n_even <= shape.p
-                for level in range(1, shape.max_level + 1):
-                    assert shape.level_count(level) == sum(
+                for level in range(-1, shape.max_level + 2):
+                    expected = int(level == 0) if level <= 0 else sum(
                         1 for x in lengths if x >= level)
+                    assert shape.level_count(level) == expected
+                    if 0 <= level <= shape.max_level:
+                        assert shape.level_counts[level] == expected
                 checked += 1
         assert checked > 100
 

@@ -173,6 +173,29 @@ class TestGeneralCaterpillar:
             highs = len(state.high_spine) + len(state.high_legs)
             assert 2 * lows < n and 2 * highs <= n
 
+    def test_middle_neighbours_keep_their_slots_on_opposite_sides(self):
+        """The labeler's walk starts at the middle vertex's low spine
+        neighbour and ends at its high one; the marking must put each
+        neighbour in a spine group and two neighbours in different groups."""
+        shapes = [shape for n in range(2, 13) for t in free_trees(n)
+                  if (shape := recognize_caterpillar(t)) is not None]
+        rng = random.Random(9090)
+        for k in range(2000):
+            if k % 2:  # about half the interior legless
+                interior = [0 if rng.random() < 0.5 else rng.randint(1, 4)
+                            for _ in range(rng.randint(0, 60))]
+                shapes.append(gen_caterpillar([rng.randint(1, 4), *interior,
+                                               rng.randint(1, 4)])[1])
+            else:
+                shapes.append(gen_random_caterpillar(rng, 40, 6)[1])
+        for shape in shapes:
+            state = mark_caterpillar(shape)
+            spine = shape.spine_vertices
+            mid = spine.index(state.middle)
+            neighbours = spine[max(mid - 1, 0):mid] + spine[mid + 1:mid + 2]
+            assert all(v in state.low_spine or v in state.high_spine for v in neighbours)
+            assert len({v in state.low_spine for v in neighbours}) == len(neighbours)
+
     def test_guarantee_random(self):
         rng = random.Random(77)
         for _ in range(300):
@@ -453,6 +476,39 @@ def test_golden_outputs(family):
     assert (tree.n, result.scheme) == (n, scheme)
     assert _sha(result.to_json()) == scheme_sha
     assert _sha(upper_bound_report(tree).to_json()) == bounds_sha
+
+
+def _large_tree(family, rng, n):
+    """A tree of family with about n vertices, vertex ids shuffled."""
+    if family == "regular-cat":
+        tree = gen_caterpillar([3] * (n // 4))[0]
+    elif family == "legless-cat":
+        interior = [0 if rng.random() < 0.5 else rng.randint(1, 4) for _ in range(n * 4 // 9)]
+        tree = gen_caterpillar([rng.randint(1, 4), *interior, rng.randint(1, 4)])[0]
+    elif family == "sec53":
+        delta = rng.randint(2, 8)
+        tree = gen_caterpillar([1 if i % 2 == 0 else delta
+                                for i in range(2 * (n // (delta + 3)) + 1)])[0]
+    else:
+        parity = 0 if family == "even-spider" else 1
+        tree = gen_spider(_arm_lengths(rng, n, rng.randint(1, 9), parity))[0]
+    return _shuffled(rng, tree)
+
+
+@pytest.mark.parametrize("family, scheme", [
+    ("regular-cat", "regular-cat"), ("legless-cat", "general-cat"), ("sec53", "general-cat"),
+    ("even-spider", "spider-even"), ("odd-spider", "spider-odd")])
+def test_large_n_bracket(family, scheme):
+    """Each scheme at n of 1e3 to 1e4, as label_auto picks it: its value is
+    the value of its labels and lies between its guarantee and the best bound."""
+    rng = random.Random(f"large-{family}")
+    for n in (1000, 3000, 10000):
+        tree = _large_tree(family, rng, n)
+        assert 0.8 * n <= tree.n <= 1.3 * n
+        result = label_auto(tree)
+        assert result.scheme == scheme
+        assert result.guarantee <= result.value <= upper_bound_report(tree).best
+        assert result.value == differential_value(tree, result.labeling.labeling)
 
 
 @pytest.mark.parametrize("lengths", [[2] * 25000 + [50000], [1] * 25000 + [50001]],
