@@ -9,7 +9,8 @@
                                                             vs general scheme
     diffcolor export (--in F | --family ...) [--labeling F | --scheme S]  DOT
 
-Exit codes: 0 success, 2 validation error, 3 exact-solver limit/timeout.
+Exit codes: 0 success, 2 validation error, 3 size limit (MAX_N vertices, the
+exact solver's limit) or exact-solver timeout.
 All output is deterministic for identical argv (random generation requires
 an explicit --seed).
 """
@@ -22,8 +23,9 @@ import random
 import sys
 
 from .bounds import upper_bound_report
-from .graph import (Tree, gen_caterpillar, gen_random_caterpillar,
-                    gen_regular_caterpillar, gen_spider, parse_graph, write_graph)
+from .graph import (SizeLimitError, Tree, check_vertex_count, gen_caterpillar,
+                    gen_random_caterpillar, gen_regular_caterpillar, gen_spider,
+                    parse_graph, write_graph)
 from .labeling import evaluate, labeling_from_json
 from .oracle import (DEFAULT_LIMIT_N, OracleLimitError, OracleTimeoutError,
                      exact_dc)
@@ -129,6 +131,7 @@ def _generate(args: argparse.Namespace) -> Tree:
             raise CliError("sec53 requires --k and --delta")
         if args.k < 1 or args.delta < 1:
             raise CliError("sec53 requires k >= 1 and delta >= 1")
+        check_vertex_count(args.k * (args.delta + 3) + 2)  # 2k + 1 spine, k + 1 + k * delta legs
         counts = [1 if i % 2 == 0 else args.delta for i in range(2 * args.k + 1)]
         return gen_caterpillar(counts)[0]
     if family == "random-cat":
@@ -279,7 +282,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     except (ValueError, OSError) as exc:  # every input error is a ValueError
         print(f"error: {exc}", file=stderr)
         return 2
-    except (OracleLimitError, OracleTimeoutError) as exc:
+    except (SizeLimitError, OracleLimitError, OracleTimeoutError) as exc:
         print(f"error: {exc}", file=stderr)
         return 3
     return 0

@@ -7,9 +7,22 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
-from itertools import accumulate, filterfalse
+from itertools import accumulate, chain, filterfalse
 
 from ._record import Record
+
+
+MAX_N = 2_000_000  # vertex limit; larger inputs are refused before any O(n) work
+
+
+class SizeLimitError(Exception):
+    """An input asks for more than MAX_N vertices (deliberately not a
+    ValueError: the CLI reports it as a resource refusal, exit 3)."""
+
+
+def check_vertex_count(n: int) -> None:
+    if n > MAX_N:
+        raise SizeLimitError(f"n={n} exceeds the vertex limit MAX_N={MAX_N}")
 
 
 class GraphParseError(ValueError):
@@ -49,6 +62,7 @@ class Tree(Record):
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
         if n < 1:
             raise ValueError("vertex count must be positive")
+        check_vertex_count(n)
         seen: set[tuple[int, int]] = set()
         norm = []  # len(norm) is the index of the edge at hand
         for u, v in edges:
@@ -186,7 +200,20 @@ def write_graph(t: Tree) -> str:
     return "\n".join(lines) + "\n"
 
 
-class CaterpillarShape(Record):
+def _check_vertices(n: int, *blocks: tuple[int, ...]) -> None:
+    """The shapes' partition rule: the blocks hold each of 0..n-1 exactly once."""
+    if sorted(chain.from_iterable(blocks)) != list(range(n)):
+        raise ValueError("shape vertices must be exactly 0..n-1")
+
+
+class _Shape(Record):
+    """Base of the two tree shapes: a subclass gives n and edges."""
+
+    def to_tree(self) -> Tree:
+        return Tree(self.n, self.edges)
+
+
+class CaterpillarShape(_Shape):
     """A caterpillar: spine vertices in path order, each with its legs.
 
     Canonical form: when the spine has length >= 2, both spine endpoints carry
@@ -208,11 +235,7 @@ class CaterpillarShape(Record):
                 raise ValueError("leg counts must match leg vertex lists")
         if s >= 2 and (self.leg_counts[0] < 1 or self.leg_counts[-1] < 1):
             raise ValueError("spine endpoints must have at least one leg")
-        ids = list(self.spine_vertices)
-        for legs in self.leg_vertices:
-            ids.extend(legs)
-        if sorted(ids) != list(range(self.n)):
-            raise ValueError("shape vertices must be exactly 0..n-1")
+        _check_vertices(self.n, self.spine_vertices, *self.leg_vertices)
 
     @property
     def s(self) -> int:
@@ -237,11 +260,8 @@ class CaterpillarShape(Record):
         legs = ((v, leg) for v, vlegs in zip(spine, self.leg_vertices) for leg in vlegs)
         return (*zip(spine, spine[1:]), *legs)
 
-    def to_tree(self) -> Tree:
-        return Tree(self.n, self.edges)
 
-
-class SpiderShape(Record):
+class SpiderShape(_Shape):
     """A spider: a center vertex joined to vertex-disjoint paths.
 
     path_vertices[i] lists path i's vertices at levels 1..path_lengths[i],
@@ -260,11 +280,7 @@ class SpiderShape(Record):
         for length, verts in zip(self.path_lengths, self.path_vertices):
             if length < 1 or length != len(verts):
                 raise ValueError("path lengths must be positive and match vertex lists")
-        ids = [self.center]
-        for verts in self.path_vertices:
-            ids.extend(verts)
-        if sorted(ids) != list(range(self.n)):
-            raise ValueError("shape vertices must be exactly 0..n-1")
+        _check_vertices(self.n, (self.center,), *self.path_vertices)
 
     @property
     def p(self) -> int:
@@ -312,9 +328,6 @@ class SpiderShape(Record):
                 edges.append((prev, v))
                 prev = v
         return tuple(edges)
-
-    def to_tree(self) -> Tree:
-        return Tree(self.n, self.edges)
 
 
 def _require_connected_tree(t: Tree) -> None:
@@ -379,38 +392,37 @@ def recognize_spider(t: Tree) -> SpiderShape | None:
 
 def _spider_shape(t: Tree) -> SpiderShape | None:
     adj = t._adj
+
+    def arm(prev: int, cur: int) -> tuple[int, ...]:
+        """The vertices from cur away from prev, up to the first one whose
+        degree is not 2."""
+        verts = [cur]
+        while len(adj[cur]) == 2:
+            a, b = adj[cur]
+            prev, cur = cur, (b if a == prev else a)
+            verts.append(cur)
+        return tuple(verts)
+
     big = [v for v, nbrs in enumerate(adj) if len(nbrs) >= 3]
     if len(big) > 1:
         return None
-    if len(big) == 1:
+    if big:
         center = big[0]
-        arms = []
-        for first in sorted(adj[center]):
-            arm = [first]
-            prev = center
-            while len(adj[arm[-1]]) == 2:
-                cur = arm[-1]
-                a, b = adj[cur]
-                arm.append(b if a == prev else a)
-                prev = cur
-            arms.append(tuple(arm))
-        return SpiderShape(tuple(len(a) for a in arms), center, tuple(arms))
-    # No branch vertex: t is a path. Accept it with p=2 when long enough.
-    if t.n < 3:
+    elif t.n < 3:
         return None
-    start = min(v for v, nbrs in enumerate(adj) if len(nbrs) == 1)
-    path = [start]
-    prev = -1
-    while len(path) < t.n:
-        cur = path[-1]
-        path.append(next(u for u in adj[cur] if u != prev))
-        prev = cur
-    best = min(range(1, t.n - 1), key=lambda i: (abs((t.n - 1 - i) - i), path[i]))
-    left = tuple(reversed(path[:best]))
-    right = tuple(path[best + 1:])
-    arms = sorted((left, right), key=lambda a: a[0])
-    return SpiderShape(tuple(len(a) for a in arms), path[best],
-                       (tuple(arms[0]), tuple(arms[1])))
+    else:  # a path: center at a most-balanced interior vertex, ties to the smaller id
+        start = min(v for v, nbrs in enumerate(adj) if len(nbrs) == 1)
+        path = (start, *arm(start, adj[start][0]))
+        center = path[min(range(1, t.n - 1), key=lambda i: (abs(t.n - 1 - 2 * i), path[i]))]
+    arms = tuple(arm(center, first) for first in sorted(adj[center]))
+    return SpiderShape(tuple(map(len, arms)), center, arms)
+
+
+def _id_blocks(start: int, sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Consecutive vertex-id blocks of the given sizes, the first at start."""
+    bounds = tuple(accumulate(sizes, initial=start))
+    check_vertex_count(bounds[-1])
+    return tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
 
 
 def gen_regular_caterpillar(s: int, delta: int) -> tuple[Tree, CaterpillarShape]:
@@ -419,6 +431,7 @@ def gen_regular_caterpillar(s: int, delta: int) -> tuple[Tree, CaterpillarShape]
         raise ValueError("spine length must be positive")
     if delta < 1:
         raise ValueError("leg count must be positive")
+    check_vertex_count(s * (delta + 1))
     return gen_caterpillar([delta] * s)
 
 
@@ -436,12 +449,7 @@ def gen_caterpillar(leg_counts) -> tuple[Tree, CaterpillarShape]:
     s = len(counts)
     if s >= 2 and (counts[0] < 1 or counts[-1] < 1):
         raise ValueError("spine endpoints must have at least one leg")
-    legs = []
-    nxt = s
-    for c in counts:
-        legs.append(tuple(range(nxt, nxt + c)))
-        nxt += c
-    shape = CaterpillarShape(counts, tuple(range(s)), tuple(legs))
+    shape = CaterpillarShape(counts, tuple(range(s)), _id_blocks(s, counts))
     return shape.to_tree(), shape
 
 
@@ -454,12 +462,7 @@ def gen_spider(path_lengths) -> tuple[Tree, SpiderShape]:
         raise ValueError("path lengths must be non-empty")
     if any(x < 1 for x in lengths):
         raise ValueError("path lengths must be positive")
-    paths = []
-    nxt = 1
-    for length in lengths:
-        paths.append(tuple(range(nxt, nxt + length)))
-        nxt += length
-    shape = SpiderShape(lengths, 0, tuple(paths))
+    shape = SpiderShape(lengths, 0, _id_blocks(1, lengths))
     return shape.to_tree(), shape
 
 
@@ -470,6 +473,7 @@ def gen_random_caterpillar(rng: random.Random, max_spine: int = 30,
     """
     if max_spine < 1 or max_legs < 1:
         raise ValueError("bounds must be positive")
+    check_vertex_count(max_spine * (max_legs + 1))  # the largest caterpillar it can draw
     s = rng.randint(1, max_spine)
     counts = []
     for i in range(s):
@@ -478,22 +482,10 @@ def gen_random_caterpillar(rng: random.Random, max_spine: int = 30,
     return gen_caterpillar(counts)
 
 
-def two_coloring(t: Tree) -> tuple[list[int], int]:
-    """2-color each component (the smallest vertex of a component gets color
-    0). Returns (colors, component count); raises on an odd cycle.
-    """
-    return list(_bipartite_colors(t)), t.component_count()
-
-
 def bipartition_sizes(t: Tree) -> tuple[int, int]:
     """Sizes of the two color classes of a bipartite graph, larger first."""
-    ones = _bipartite_colors(t).count(1)
-    sizes = (t.n - ones, ones)
-    return (max(sizes), min(sizes))
-
-
-def _bipartite_colors(t: Tree) -> bytes:
     colors, _, bipartite = t._coloring
     if not bipartite:
         raise ValueError("graph contains an odd cycle and is not bipartite")
-    return colors
+    ones = colors.count(1)
+    return max(t.n - ones, ones), min(t.n - ones, ones)

@@ -138,6 +138,8 @@ def exact_dc(t: Tree, *, limit_n: int = DEFAULT_LIMIT_N,
     supported (numbers range over the whole graph, components constrain
     independently); the descent then starts from n - 1.
     """
+    if limit_n < 0:
+        raise ValueError(f"limit_n must be non-negative, got {limit_n}")
     if t.n > limit_n:
         raise OracleLimitError(
             f"n={t.n} exceeds the exact-solver limit {limit_n}; raise limit_n to override")

@@ -6,9 +6,11 @@ inline abs differences) so it can serve as an independent check on the
 package's exact solver.
 """
 
+import contextlib
 import functools
 import heapq
 import itertools
+import tracemalloc
 
 from diffcolor import Tree
 
@@ -127,3 +129,16 @@ def length_multisets(values, max_paths, max_n):
 
 def path_graph(n):
     return Tree(n, tuple((i, i + 1) for i in range(n - 1)))
+
+
+@contextlib.contextmanager
+def small_peak(limit=1 << 20):
+    """Fails unless the block's traced allocations peak below limit bytes: a
+    size refusal must come before anything of the refused size is built."""
+    tracemalloc.start()
+    try:
+        yield
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit, f"peak {peak} bytes"

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import diffcolor
-from diffcolor import parse_graph, recognize_caterpillar, recognize_spider
+from diffcolor import MAX_N, parse_graph, recognize_caterpillar, recognize_spider
 from diffcolor.cli import run
+from helpers import small_peak
 
 
 def capture(argv):
@@ -200,6 +201,15 @@ class TestExact:
                                 "--timeout-ms", "-5"])
         assert code == 2 and "timeout_ms" in err and err.count("\n") == 1
 
+    def test_negative_limit_exit_2(self):
+        assert capture(["exact", "--family", "spider", "--paths", "1,1", "--limit-n", "-1"]) \
+            == (2, "", "error: limit_n must be non-negative, got -1\n")
+
+    def test_zero_limit_exit_3(self):
+        code, out, err = capture(["exact", "--family", "spider", "--paths", "1,1",
+                                  "--limit-n", "0"])
+        assert (code, out) == (3, "") and "exceeds the exact-solver limit 0" in err
+
     def test_threads_flag_is_gone(self):
         code, _, _ = capture(["exact", "--family", "spider", "--paths", "1,1,1",
                               "--threads", "2"])
@@ -296,6 +306,26 @@ class TestErrors:
     ])
     def test_family_flag_errors(self, flags, message):
         assert capture(["label", *flags]) == (2, "", f"error: {message}\n")
+
+    # Each input asks for just over MAX_N vertices and is refused before any
+    # allocation of that size (the library's generators: tests/test_graph.py).
+    @pytest.mark.parametrize("argv, n", [
+        (["gen", "cat", "--leg-list", f"1,{MAX_N},1"], MAX_N + 5),
+        (["gen", "sec53", "--k", str(MAX_N // 4), "--delta", "1"], MAX_N + 2),
+    ], ids=["cat", "sec53"])
+    def test_generator_over_size_limit_exit_3(self, argv, n):
+        with small_peak():
+            result = capture(argv)
+        assert result == (3, "", f"error: n={n} exceeds the vertex limit MAX_N={MAX_N}\n")
+
+    @pytest.mark.parametrize("command", ["export", "exact"])
+    def test_header_over_size_limit_exit_3(self, tmp_path, command):
+        path = tmp_path / "huge.gr"
+        path.write_text(f"p {MAX_N + 1} 0\n")
+        extra = ["--limit-n", str(10 * MAX_N)] if command == "exact" else []
+        with small_peak():
+            result = capture([command, "--in", str(path), *extra])
+        assert result == (3, "", f"error: n={MAX_N + 1} exceeds the vertex limit MAX_N={MAX_N}\n")
 
     @pytest.mark.parametrize("digit", ["\uff11", "\u0661", "\u00b2"])
     def test_non_ascii_digit_rejected(self, tmp_path, digit):

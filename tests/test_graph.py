@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from diffcolor import (CaterpillarShape, GraphParseError, NotATreeError,
-                       SpiderShape, Tree, bipartition_sizes, gen_caterpillar,
-                       gen_random_caterpillar, gen_regular_caterpillar,
-                       gen_spider, parse_graph, recognize_caterpillar,
-                       recognize_spider, write_graph)
-from diffcolor.graph import two_coloring
-from helpers import length_multisets, partitions, path_graph
+from diffcolor import (MAX_N, CaterpillarShape, GraphParseError, NotATreeError,
+                       SizeLimitError, SpiderShape, Tree, bipartition_sizes,
+                       gen_caterpillar, gen_random_caterpillar,
+                       gen_regular_caterpillar, gen_spider, parse_graph,
+                       recognize_caterpillar, recognize_spider, write_graph)
+from helpers import length_multisets, partitions, path_graph, small_peak
 
 
 class TestTree:
@@ -44,6 +43,21 @@ class TestTree:
         t = Tree(10**6, ())
         assert not t.is_connected()
         assert "_adj" not in t.__dict__ and "_coloring" not in t.__dict__
+
+
+class TestSizeLimit:
+    # only values just above the limit, each refused before any O(n) work
+    @pytest.mark.parametrize("call, n", [
+        (lambda: Tree(MAX_N + 1, ()), MAX_N + 1),
+        (lambda: gen_regular_caterpillar(MAX_N, 1), 2 * MAX_N),
+        (lambda: gen_caterpillar([1, MAX_N, 1]), MAX_N + 5),
+        (lambda: gen_spider([MAX_N]), MAX_N + 1),
+        (lambda: gen_random_caterpillar(random.Random(0), MAX_N, 1), 2 * MAX_N),
+        (lambda: parse_graph(f"p {MAX_N + 1} 0\n"), MAX_N + 1),
+    ], ids=["tree", "regular-cat", "cat", "spider", "random-cat", "parse"])
+    def test_refused_before_allocation(self, call, n):
+        with small_peak(), pytest.raises(SizeLimitError, match=f"^n={n} exceeds the vertex limit"):
+            call()
 
 
 class TestParseGraph:
@@ -379,8 +393,6 @@ class TestDerivedCache:
     def test_odd_cycle_raises_every_call(self):
         cycle = Tree(5, ((0, 1), (1, 2), (0, 2), (3, 4)))
         for _ in range(3):
-            with pytest.raises(ValueError, match="odd cycle"):
-                two_coloring(cycle)
             with pytest.raises(ValueError, match="odd cycle"):
                 bipartition_sizes(cycle)
         assert cycle.component_count() == 2

@@ -135,6 +135,13 @@ class TestLimits:
         with pytest.raises(ValueError, match="timeout_ms"):
             decision_dc_at_least(t, 1, timeout_ms=-5)
 
+    def test_negative_limit_rejected(self):
+        t = path_graph(3)
+        with pytest.raises(ValueError, match="^limit_n must be non-negative, got -1$"):
+            exact_dc(t, limit_n=-1)
+        with pytest.raises(OracleLimitError, match="exceeds"):
+            exact_dc(t, limit_n=0)
+
     def test_search_depth_not_bounded_by_recursion(self):
         t = gen_regular_caterpillar(400, 2)[0]  # n = 1200 numbers deep
         witness = decision_dc_at_least(t, 1)
