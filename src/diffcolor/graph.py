@@ -63,18 +63,29 @@ class Tree(Record):
         if n < 1:
             raise ValueError("vertex count must be positive")
         check_vertex_count(n)
-        seen: set[tuple[int, int]] = set()
         norm = []  # len(norm) is the index of the edge at hand
-        for u, v in edges:
+        fault = None
+        for e in edges:
+            u, v = e
             if u == v:
-                raise _EdgeError(len(norm), "self-loop", f"at vertex {u}")
+                fault = "self-loop", f"at vertex {u}"
+                break
             if not (0 <= u < n and 0 <= v < n):
-                raise _EdgeError(len(norm), "endpoint out of range", f"0..{n - 1}: ({u}, {v})")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:
-                raise _EdgeError(len(norm), "duplicate edge", f"{e}")
-            seen.add(e)
+                fault = "endpoint out of range", f"0..{n - 1}: ({u}, {v})"
+                break
+            if u > v:
+                e = (v, u)
+            elif type(e) is not tuple:  # a normalized tuple is kept, not copied
+                e = (u, v)
             norm.append(e)
+        if len(set(norm)) != len(norm):  # name the first duplicate, ahead of any later fault
+            seen: set[tuple[int, int]] = set()
+            for i, e in enumerate(norm):
+                if e in seen:
+                    raise _EdgeError(i, "duplicate edge", f"{e}")
+                seen.add(e)
+        if fault:
+            raise _EdgeError(len(norm), *fault)
         super().__init__(n, tuple(norm))
 
     @property
@@ -87,9 +98,7 @@ class Tree(Record):
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        for v, nbrs in enumerate(adj):
-            adj[v] = tuple(nbrs)
-        return tuple(adj)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def _coloring(self) -> tuple[bytes, int, bool]:

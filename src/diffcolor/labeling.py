@@ -35,14 +35,26 @@ class Labeling(Record):
         return Labeling(tuple(n + 1 - x for x in self.labels))
 
 
+def _is_int(x) -> bool:
+    """An integer, where JSON's true/false (Python bools) do not count."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def is_valid_labeling(t: Graph, labeling: Labeling) -> tuple[bool, str | None]:
-    """Check bijectivity onto {1..n}; returns (ok, first violation or None)."""
+    """Check that the labels are integers (bools excluded) forming a bijection
+    onto {1..n}; returns (ok, first violation or None)."""
     n = t.n
     labels = labeling.labels
     if len(labels) != n:
         return False, f"expected {n} labels, got {len(labels)}"
+    # builtins accept a valid labeling; the loop below only names a violation
+    if (set(map(type, labels)) == {int} and len(set(labels)) == n
+            and min(labels) >= 1 and max(labels) <= n):
+        return True, None
     seen = set()
     for v, x in enumerate(labels):
+        if not _is_int(x):
+            return False, f"label {x!r} of vertex {v} is not an integer"
         if not 1 <= x <= n:
             return False, f"label {x} of vertex {v} out of range 1..{n}"
         if x in seen:
@@ -78,11 +90,6 @@ class EvaluatedLabeling(Record):
 
 def evaluate(t: Graph, labeling: Labeling) -> EvaluatedLabeling:
     return EvaluatedLabeling(labeling, differential_value(t, labeling))
-
-
-def _is_int(x) -> bool:
-    """An integer, where JSON's true/false (Python bools) do not count."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def labeling_from_json(obj: dict) -> Labeling:

@@ -9,10 +9,17 @@ Four schemes are provided:
   label_general_caterpillar  any caterpillar; guarantees value >= ceil(n/2)-delta-2.
 
 SCHEMES lists them in label_auto's order of preference, each with the shape
-class it labels and that class's recognizer. A scheme's own guard is the only
-statement of when it applies: it raises NotApplicable (a ValueError) with the
-reason. run_scheme(t, name) recognizes the shape and runs one row; label_auto
-runs the first row that applies and otherwise names every row's reason.
+class it labels, that class's recognizer and the scheme's draft: a function
+from the shape to (labels, guarantee, expected value or None, optimality).
+A draft's own guard is the only statement of when its scheme applies: it
+raises NotApplicable (a ValueError) with the reason. run_scheme(t, name)
+recognizes the shape and runs one row; label_auto runs the first row that
+applies and otherwise names every row's reason.
+
+Every result is checked by _finish before it is returned: the labels must be
+a bijection onto 1..n, reach the expected value and meet the guarantee.
+run_scheme checks them on the edges of the Tree it was given; the four
+label_* functions, which take a shape, check them on the shape's edges.
 
 mp_value computes the differential value the classic forest bipartition scheme
 guarantees, min(|U|, |V|); no labeling is constructed for it.
@@ -28,7 +35,7 @@ from itertools import accumulate
 from ._record import Record
 from .graph import (CaterpillarShape, SpiderShape, Tree, bipartition_sizes,
                     recognize_caterpillar, recognize_spider)
-from .labeling import EvaluatedLabeling, Labeling, differential_value
+from .labeling import EvaluatedLabeling, Graph, Labeling, differential_value
 
 
 class SchemeError(RuntimeError):
@@ -65,12 +72,14 @@ class SchemeResult(Record):
         }
 
 
-def _finish(scheme: str, shape: CaterpillarShape | SpiderShape, labels: list[int],
-            guarantee: int, expected_value: int | None, optimal: Optimality) -> SchemeResult:
-    """Evaluate labels on the shape they label; a vertex left at 0 is not a bijection."""
+def _finish(scheme: str, graph: Graph, labels: list[int], guarantee: int,
+            expected_value: int | None, optimal: Optimality) -> SchemeResult:
+    """Evaluate a draft's labels on graph, the input Tree or the shape they
+    label (the two have the same edge set); a vertex left at 0 is not a
+    bijection."""
     labeling = Labeling(tuple(labels))
     try:
-        value = differential_value(shape, labeling)
+        value = differential_value(graph, labeling)
     except ValueError as exc:
         raise SchemeError(f"{scheme}: non-bijective output: {exc}") from exc
     if expected_value is not None and value != expected_value:
@@ -78,6 +87,9 @@ def _finish(scheme: str, shape: CaterpillarShape | SpiderShape, labels: list[int
     if value < guarantee:
         raise SchemeError(f"{scheme}: achieved {value}, below guarantee {guarantee}")
     return SchemeResult(scheme, EvaluatedLabeling(labeling, value), guarantee, optimal)
+
+
+Draft = tuple[list[int], int, int | None, Optimality]  # what _finish checks
 
 
 def label_regular_caterpillar(shape: CaterpillarShape) -> SchemeResult:
@@ -88,6 +100,10 @@ def label_regular_caterpillar(shape: CaterpillarShape) -> SchemeResult:
     the opposite end from its own. Achieves n/2 for an even spine and
     ceil((n - delta)/2) for an odd one, matching the upper bound.
     """
+    return _finish("regular-cat", shape, *_regular_cat(shape))
+
+
+def _regular_cat(shape: CaterpillarShape) -> Draft:
     if not shape.is_regular:
         raise NotApplicable("shape is not a regular caterpillar")
     delta = shape.delta
@@ -109,8 +125,7 @@ def label_regular_caterpillar(shape: CaterpillarShape) -> SchemeResult:
             base = k + (i - 1) * delta + s % 2
         for j, leg in enumerate(shape.leg_vertices[idx], start=1):
             labels[leg] = base + j
-    return _finish("regular-cat", shape, labels, target, target,
-                   Optimality.PROVED)
+    return labels, target, target, Optimality.PROVED
 
 
 def _prefix_sums(xs) -> list[int]:
@@ -130,6 +145,10 @@ def label_spider_all_even(shape: SpiderShape) -> SchemeResult:
     odd-level vertices get N_e+2..n likewise, each level ordered by
     non-increasing path length. Achieves N_e, which here equals floor(n/2).
     """
+    return _finish("spider-even", shape, *_spider_even(shape))
+
+
+def _spider_even(shape: SpiderShape) -> Draft:
     if any(length % 2 for length in shape.path_lengths):
         raise NotApplicable("all path lengths must be even")
     n_even = shape.n_even
@@ -143,8 +162,7 @@ def label_spider_all_even(shape: SpiderShape) -> SchemeResult:
                 labels[v] = 1 + evens[level // 2 - 1] + rank
             else:
                 labels[v] = n_even + 1 + odds[(level - 1) // 2] + rank
-    return _finish("spider-even", shape, labels, n_even, n_even,
-                   Optimality.PROVED)
+    return labels, n_even, n_even, Optimality.PROVED
 
 
 def label_spider_all_odd(shape: SpiderShape) -> SchemeResult:
@@ -157,6 +175,10 @@ def label_spider_all_odd(shape: SpiderShape) -> SchemeResult:
     the lowest numbers, even levels sit just above the center). Achieves
     N_e + 1 = ceil((n - p)/2).
     """
+    return _finish("spider-odd", shape, *_spider_odd(shape))
+
+
+def _spider_odd(shape: SpiderShape) -> Draft:
     if any(length % 2 == 0 for length in shape.path_lengths):
         raise NotApplicable("all path lengths must be odd")
     n = shape.n
@@ -187,8 +209,7 @@ def label_spider_all_odd(shape: SpiderShape) -> SchemeResult:
                     labels[v] = ceil_half + even_floor[i - 1] + q
                 else:
                     labels[v] = ceil_half - even_ceil[i] + q - 1
-    return _finish("spider-odd", shape, labels, n_even + 1, n_even + 1,
-                   Optimality.PROVED)
+    return labels, n_even + 1, n_even + 1, Optimality.PROVED
 
 
 class MarkingState(Record):
@@ -303,6 +324,10 @@ def label_general_caterpillar(shape: CaterpillarShape) -> SchemeResult:
     slots ascending low numbers and high spine slots ascending high numbers
     in walk order, then fills the mid-range with the legs, grouped by owner.
     """
+    return _finish("general-cat", shape, *_general_cat(shape))
+
+
+def _general_cat(shape: CaterpillarShape) -> Draft:
     if shape.n < 2:
         raise NotApplicable("general caterpillar scheme needs n >= 2")
     n, s = shape.n, shape.s
@@ -355,9 +380,7 @@ def label_general_caterpillar(shape: CaterpillarShape) -> SchemeResult:
                 labels[v] = value
                 value += step
 
-    guarantee = ceil_half - shape.delta - 2
-    return _finish("general-cat", shape, labels, guarantee, None,
-                   Optimality.NOT_PROVED)
+    return labels, ceil_half - shape.delta - 2, None, Optimality.NOT_PROVED
 
 
 def mp_value(t: Tree) -> int:
@@ -369,22 +392,23 @@ def mp_value(t: Tree) -> int:
     return bipartition_sizes(t)[1]
 
 
-# name: (shape class, its recognizer, scheme function), in label_auto's order
+# name: (shape class, its recognizer, scheme draft), in label_auto's order
 SCHEMES = {
-    "regular-cat": ("caterpillar", recognize_caterpillar, label_regular_caterpillar),
-    "spider-even": ("spider", recognize_spider, label_spider_all_even),
-    "spider-odd": ("spider", recognize_spider, label_spider_all_odd),
-    "general-cat": ("caterpillar", recognize_caterpillar, label_general_caterpillar),
+    "regular-cat": ("caterpillar", recognize_caterpillar, _regular_cat),
+    "spider-even": ("spider", recognize_spider, _spider_even),
+    "spider-odd": ("spider", recognize_spider, _spider_odd),
+    "general-cat": ("caterpillar", recognize_caterpillar, _general_cat),
 }
 
 
 def run_scheme(t: Tree, name: str) -> SchemeResult:
-    """Label t with the named scheme; NotApplicable says why it cannot."""
-    shape_class, recognize, label = SCHEMES[name]
+    """Label t with the named scheme, checked on t's own edges;
+    NotApplicable says why it cannot."""
+    shape_class, recognize, draft = SCHEMES[name]
     shape = recognize(t)
     if shape is None:
         raise NotApplicable(f"input is not a {shape_class}")
-    return label(shape)
+    return _finish(name, t, *draft(shape))
 
 
 def label_auto(t: Tree) -> SchemeResult:

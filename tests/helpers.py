@@ -12,7 +12,12 @@ import heapq
 import itertools
 import tracemalloc
 
-from diffcolor import Tree
+from diffcolor import (Tree, label_general_caterpillar, label_regular_caterpillar,
+                       label_spider_all_even, label_spider_all_odd)
+
+# scheme name -> the public function that labels a shape and checks on its edges
+LABEL_SHAPE = {"regular-cat": label_regular_caterpillar, "spider-even": label_spider_all_even,
+               "spider-odd": label_spider_all_odd, "general-cat": label_general_caterpillar}
 
 
 def naive_dc(t: Tree) -> int:

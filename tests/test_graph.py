@@ -7,6 +7,7 @@ from diffcolor import (MAX_N, CaterpillarShape, GraphParseError, NotATreeError,
                        gen_caterpillar, gen_random_caterpillar,
                        gen_regular_caterpillar, gen_spider, parse_graph,
                        recognize_caterpillar, recognize_spider, write_graph)
+from diffcolor.graph import _EdgeError
 from helpers import length_multisets, partitions, path_graph, small_peak
 
 
@@ -28,6 +29,26 @@ class TestTree:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             Tree(2, ((0, 2),))
+
+    # two faults on 4 vertices: the first in edge order is reported, with its index
+    @pytest.mark.parametrize("edges, index, message", [
+        ([(0, 1), (1, 0), (2, 2)], 1, "duplicate edge (0, 1)"),
+        ([(2, 2), (0, 1), (1, 0)], 0, "self-loop at vertex 2"),
+        ([(0, 9), (0, 1), (1, 0)], 0, "endpoint out of range 0..3: (0, 9)"),
+        ([(0, 1), (1, 0), (0, 9)], 1, "duplicate edge (0, 1)"),
+        ([(1, 2), (2, 1), (0, 1), (0, 1)], 1, "duplicate edge (1, 2)"),
+    ], ids=["dup-then-loop", "loop-then-dup", "range-then-dup", "dup-then-range",
+            "two-dups"])
+    def test_first_fault_in_edge_order(self, edges, index, message):
+        with pytest.raises(_EdgeError) as info:
+            Tree(4, edges)
+        assert type(info.value) is _EdgeError and str(info.value) == message
+        assert info.value.index == index
+
+    def test_list_edges_become_tuples(self):
+        t = Tree(3, [[0, 1], [1, 2]])
+        assert t.edges == ((0, 1), (1, 2))
+        assert all(type(e) is tuple for e in t.edges)
 
     def test_forest_and_connectivity(self):
         forest = Tree(4, ((0, 1), (2, 3)))

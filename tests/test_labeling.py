@@ -42,6 +42,31 @@ class TestIsValidLabeling:
         ok, why = is_valid_labeling(path_graph(3), Labeling((0, 2, 3)))
         assert not ok and "out of range" in why
 
+    def test_above_n(self):
+        assert is_valid_labeling(path_graph(3), Labeling((1, 2, 4))) == (
+            False, "label 4 of vertex 2 out of range 1..3")
+
+    @pytest.mark.parametrize("labels, why", [
+        ((1.5, 2), "label 1.5 of vertex 0 is not an integer"),
+        ((True, 2), "label True of vertex 0 is not an integer"),
+        ((1, 2.0), "label 2.0 of vertex 1 is not an integer"),
+    ], ids=["float", "bool", "integral-float"])
+    def test_non_integer(self, labels, why):
+        t, labeling = path_graph(2), Labeling(labels)
+        assert is_valid_labeling(t, labeling) == (False, why)
+        with pytest.raises(ValueError, match=f"^invalid labeling: {why}$"):
+            differential_value(t, labeling)
+        with pytest.raises(ValueError, match=f"^invalid labeling: {why}$"):
+            evaluate(t, labeling)
+
+    def test_int_subclass_counts_as_integer(self):
+        class Label(int):
+            pass
+
+        labeling = Labeling((Label(2), Label(1), Label(3)))
+        assert is_valid_labeling(path_graph(3), labeling) == (True, None)
+        assert differential_value(path_graph(3), labeling) == 1
+
 
 def _random_tree(rng, n):
     edges = [(rng.randrange(i), i) for i in range(1, n)]

@@ -4,13 +4,17 @@ permuted vertex ids."""
 
 import random
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diffcolor import (Labeling, Tree, differential_value, gen_caterpillar,
-                       gen_spider, label_auto, label_general_caterpillar,
+from diffcolor import (SCHEMES, Labeling, NotApplicable, Tree,
+                       differential_value, gen_caterpillar, gen_spider,
+                       label_auto, label_general_caterpillar,
                        mark_caterpillar, parse_graph, recognize_caterpillar,
-                       recognize_spider, upper_bound_report, write_graph)
+                       recognize_spider, run_scheme, upper_bound_report,
+                       write_graph)
+from helpers import LABEL_SHAPE
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -59,6 +63,23 @@ def test_shapes_schemes_and_bounds_agree(tree, seed):
         assert differential_value(shape, labeling) == differential_value(tree, labeling)
     result = label_auto(tree)
     assert result.guarantee <= result.value <= upper_bound_report(tree).best
+
+
+@given(relabeled(caterpillars() | spiders() | parity_uniform_spiders()))
+def test_run_scheme_matches_the_direct_call(tree):
+    """Each applicable scheme gives the same result checked on the input tree
+    (run_scheme) as checked on the recognized shape (the public label_*)."""
+    for name, (_, recognize, _) in SCHEMES.items():
+        shape = recognize(tree)
+        try:
+            direct = None if shape is None else LABEL_SHAPE[name](shape)
+        except NotApplicable:
+            direct = None
+        if direct is None:
+            with pytest.raises(NotApplicable):
+                run_scheme(tree, name)
+        else:
+            assert run_scheme(tree, name) == direct
 
 
 @given(relabeled(caterpillars() | spiders()))

@@ -5,8 +5,9 @@ import time
 
 import pytest
 
-from diffcolor import (MarkingState, NotApplicable, NotATreeError, Optimality,
-                       SchemeError, Tree, differential_value, gen_caterpillar,
+from diffcolor import (CaterpillarShape, MarkingState, NotApplicable,
+                       NotATreeError, Optimality, SchemeError, SpiderShape,
+                       Tree, differential_value, gen_caterpillar,
                        gen_random_caterpillar, gen_regular_caterpillar,
                        gen_spider, label_auto,
                        label_general_caterpillar, label_regular_caterpillar,
@@ -15,7 +16,7 @@ from diffcolor import (MarkingState, NotApplicable, NotATreeError, Optimality,
                        recognize_caterpillar, upper_bound_report, write_graph)
 from diffcolor import schemes
 from diffcolor.schemes import SCHEMES, _finish, run_scheme
-from helpers import free_trees, length_multisets, path_graph
+from helpers import LABEL_SHAPE, free_trees, length_multisets, path_graph
 
 
 def labels_of(result):
@@ -383,14 +384,18 @@ class TestFinishSelfCheck:
             _finish("t", shape, labels, value + 1, None, Optimality.NOT_PROVED)
 
 
-@pytest.mark.parametrize("scheme, tree", [
+SCHEME_IDS = ["regular-cat", "spider-even", "spider-odd", "general-cat"]
+FAMILY_TREES = [
     ("regular-cat", gen_caterpillar([2, 2, 2])[0]),
     ("spider-even", gen_spider([2, 2, 4])[0]),
     ("spider-odd", gen_spider([1, 3, 3])[0]),
     ("general-cat", gen_caterpillar([1, 0, 2, 1])[0]),
-], ids=["regular-cat", "spider-even", "spider-odd", "general-cat"])
+]
+
+
+@pytest.mark.parametrize("scheme, tree", FAMILY_TREES, ids=SCHEME_IDS)
 def test_label_auto_builds_no_tree(monkeypatch, scheme, tree):
-    """Schemes check their labels on the recognized shape, not on a rebuilt Tree."""
+    """Schemes check their labels on the input tree itself, not on a rebuilt Tree."""
     tree = parse_graph(write_graph(tree))
     built = []
     init = Tree.__init__
@@ -402,6 +407,46 @@ def test_label_auto_builds_no_tree(monkeypatch, scheme, tree):
     monkeypatch.setattr(Tree, "__init__", counting_init)
     assert label_auto(tree).scheme == scheme
     assert built == []
+
+
+@pytest.mark.parametrize("scheme, tree", FAMILY_TREES, ids=SCHEME_IDS)
+def test_run_scheme_builds_no_shape_edges(monkeypatch, scheme, tree):
+    """run_scheme, and so label_auto, checks the labels on the input tree's
+    own edges: neither shape's edge tuple is ever built."""
+    tree = parse_graph(write_graph(tree))
+
+    def no_edges(shape):
+        raise AssertionError(f"{type(shape).__name__}.edges was built")
+
+    for shape_type in (CaterpillarShape, SpiderShape):
+        monkeypatch.setattr(shape_type, "edges", property(no_edges))
+    assert label_auto(tree).scheme == scheme
+    assert run_scheme(tree, scheme).scheme == scheme
+
+
+# every value and guarantee here is at least 2, so a labeling of value 1 fails both
+@pytest.mark.parametrize("scheme, tree", [
+    *FAMILY_TREES[:3], ("general-cat", gen_caterpillar([1, 1, 0, 1, 1, 1])[0]),
+], ids=SCHEME_IDS)
+def test_swapped_labels_raise_scheme_error(monkeypatch, scheme, tree):
+    """A draft that swaps two labels, so that an edge's labels differ by 1, is
+    trapped by _finish through run_scheme and through the public call."""
+    shape_class, recognize, draft = SCHEMES[scheme]
+    u, v = tree.edges[0]
+
+    def swapped(shape):
+        labels, *rest = draft(shape)
+        x = labels[u]
+        w = labels.index(x + 1 if x < tree.n else x - 1)
+        labels[v], labels[w] = labels[w], labels[v]
+        return labels, *rest
+
+    monkeypatch.setitem(SCHEMES, scheme, (shape_class, recognize, swapped))
+    monkeypatch.setattr(schemes, draft.__name__, swapped)
+    with pytest.raises(SchemeError, match=f"^{scheme}: achieved 1, "):
+        run_scheme(tree, scheme)
+    with pytest.raises(SchemeError, match=f"^{scheme}: achieved 1, "):
+        LABEL_SHAPE[scheme](recognize(tree))
 
 
 def _shuffled(rng, tree):
