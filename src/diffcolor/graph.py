@@ -5,7 +5,10 @@ Vertices are integers 0..n-1 internally; graph files are 1-based.
 
 from __future__ import annotations
 
+import json
 import random
+import re
+import sys
 from functools import cached_property
 from itertools import accumulate, chain, filterfalse
 
@@ -37,6 +40,11 @@ class NotATreeError(ValueError):
     pass
 
 
+def _is_int(x) -> bool:
+    """An integer, where bools (JSON's true/false) do not count."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class _EdgeError(ValueError):
     """Tree rejects edges[index]; reason names the broken rule."""
 
@@ -50,6 +58,7 @@ class Tree(Record):
 
     Despite the name, arbitrary simple graphs are representable; operations
     that need a connected tree (or forest) check and raise explicitly.
+    edges is a sequence of vertex pairs; endpoints must be ints (not bools).
     Edges are normalized to (min, max) at construction.
 
     Derived structures (adjacency, 2-coloring, component count, recognized
@@ -63,8 +72,14 @@ class Tree(Record):
         if n < 1:
             raise ValueError("vertex count must be positive")
         check_vertex_count(n)
-        norm = []  # len(norm) is the index of the edge at hand
         fault = None
+        if set(map(type, chain.from_iterable(edges))) - {int}:  # builtins pass int endpoints
+            for i, (u, v) in enumerate(edges):
+                if not (_is_int(u) and _is_int(v)):
+                    fault = "non-integer endpoint", f"({u!r}, {v!r})"
+                    edges = edges[:i]  # a fault before edge i comes first
+                    break
+        norm = []  # len(norm) is the index of the edge at hand
         for e in edges:
             u, v = e
             if u == v:
@@ -155,13 +170,57 @@ class Tree(Record):
         return self.m == self.n - self.component_count()
 
 
+# The text write_graph emits: this header, then only edge lines "e U V\n".
+_CANONICAL_HEADER = re.compile(r"p ([0-9]+) ([0-9]+)\n")
+# A newline followed by neither a canonical edge line nor the end of the text.
+_NOT_EDGE_LINE = re.compile(r"\n(?!e [0-9]+ [0-9]+\n|\Z)")
+
+
 def parse_graph(text: str) -> Tree:
     """Parse the graph file format: comments "c ...", one header "p <n> <m>",
     then m edge lines "e <u> <v>" with 1-based endpoints.
 
     Raises GraphParseError (with line number) on any format violation; the
     edge rules themselves (range, self-loop, duplicate) are Tree's.
+
+    The canonical text, exactly what write_graph emits ("p N M", then only
+    "e U V" lines, in ASCII digits and single spaces, each ending in a
+    newline), is read by one regex search and one json.loads. Every other
+    text is read line by line: comments, other line breaks, a missing final
+    newline, and a canonical text whose numbers JSON refuses (leading zeros,
+    more digits than int() reads), whose edge count is not M or whose edges
+    Tree rejects. Only the line reading raises GraphParseError.
     """
+    tree = _parse_canonical(text)
+    return tree if tree is not None else _parse_lines(text)
+
+
+def _parse_canonical(text: str) -> Tree | None:
+    """parse_graph's fast path: the Tree of a valid canonical text, else None."""
+    header = _CANONICAL_HEADER.match(text)
+    if header is None or _NOT_EDGE_LINE.search(text, header.end() - 1):
+        return None
+    try:
+        n, m = map(int, header.groups())
+        # "e 1 2\ne 2 3\n" -> "[1,2,2,3]": the C decoder makes the ints from the text
+        ints = json.loads(
+            "[" + text[header.end() + 2:-1].replace(" ", ",").replace("\ne,", ",") + "]")
+    except ValueError:  # a number with leading zeros, or longer than int() reads
+        return None
+    if len(ints) != 2 * m:
+        return None
+    pairs = iter(ints)
+    edges = [(u - 1, v - 1) for u, v in zip(pairs, pairs)]
+    del ints  # the 1-based ints are freed before Tree allocates
+    try:
+        return Tree(n, edges)
+    except ValueError:  # a vertex count or an edge Tree rejects
+        return None
+
+
+def _parse_lines(text: str) -> Tree:
+    """parse_graph line by line: the reference reading, and the only one that
+    raises GraphParseError."""
     n = m = None
     header_line = 0
     edges: list[tuple[int, int]] = []
@@ -179,13 +238,19 @@ def parse_graph(text: str) -> Tree:
                 raise GraphParseError(line_no, f"malformed edge line {line!r}")
             if len(edges) == m:
                 raise GraphParseError(line_no, f"more than the declared {m} edges")
-            edges.append((int(fields[1]) - 1, int(fields[2]) - 1))
+            try:
+                edges.append((int(fields[1]) - 1, int(fields[2]) - 1))
+            except ValueError:
+                raise _long_number(line_no) from None
         elif fields[0] == "p":
             if n is not None:
                 raise GraphParseError(line_no, "duplicate header")
             if not numeric:
                 raise GraphParseError(line_no, f"malformed header {line!r}")
-            n, m = int(fields[1]), int(fields[2])
+            try:
+                n, m = int(fields[1]), int(fields[2])
+            except ValueError:
+                raise _long_number(line_no) from None
             header_line = line_no
         else:
             raise GraphParseError(line_no, f"malformed line {line!r}")
@@ -200,6 +265,11 @@ def parse_graph(text: str) -> Tree:
         raise GraphParseError(line_no, f"{exc.reason}: {lines[line_no - 1]!r}") from None
     except ValueError as exc:  # a vertex count Tree rejects
         raise GraphParseError(header_line, str(exc)) from None
+
+
+def _long_number(line_no: int) -> GraphParseError:
+    """int() refuses a decimal string over sys.get_int_max_str_digits() digits."""
+    return GraphParseError(line_no, f"number with more than {sys.get_int_max_str_digits()} digits")
 
 
 def write_graph(t: Tree) -> str:

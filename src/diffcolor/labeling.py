@@ -8,7 +8,7 @@ arithmetic on immutable values.
 from __future__ import annotations
 
 from ._record import Record
-from .graph import CaterpillarShape, SpiderShape, Tree
+from .graph import CaterpillarShape, SpiderShape, Tree, _is_int
 
 Graph = Tree | CaterpillarShape | SpiderShape  # anything with n and edges
 
@@ -33,11 +33,6 @@ class Labeling(Record):
         """Mirror labeling x -> n+1-x; it has the same differential value."""
         n = self.n
         return Labeling(tuple(n + 1 - x for x in self.labels))
-
-
-def _is_int(x) -> bool:
-    """An integer, where JSON's true/false (Python bools) do not count."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def is_valid_labeling(t: Graph, labeling: Labeling) -> tuple[bool, str | None]:

@@ -12,8 +12,9 @@ import heapq
 import itertools
 import tracemalloc
 
-from diffcolor import (Tree, label_general_caterpillar, label_regular_caterpillar,
-                       label_spider_all_even, label_spider_all_odd)
+from diffcolor import (SizeLimitError, Tree, label_general_caterpillar,
+                       label_regular_caterpillar, label_spider_all_even,
+                       label_spider_all_odd)
 
 # scheme name -> the public function that labels a shape and checks on its edges
 LABEL_SHAPE = {"regular-cat": label_regular_caterpillar, "spider-even": label_spider_all_even,
@@ -147,3 +148,12 @@ def small_peak(limit=1 << 20):
     finally:
         tracemalloc.stop()
     assert peak < limit, f"peak {peak} bytes"
+
+
+def parse_outcome(parse, text):
+    """What parse makes of text: the Tree's repr (so a bool endpoint would
+    not pass for an int), or the error's type and message."""
+    try:
+        return repr(parse(text))
+    except (ValueError, SizeLimitError) as exc:
+        return type(exc), str(exc)

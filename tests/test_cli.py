@@ -278,6 +278,15 @@ class TestErrors:
         code, _, err = capture(["bound", "--in", str(path)])
         assert code == 2 and "line 2" in err
 
+    @pytest.mark.parametrize("text, line_no", [
+        ("p 2 1\ne 1 {}\n", 2), ("p {} 0\n", 1)], ids=["edge", "header"])
+    def test_over_long_number_names_its_line(self, tmp_path, text, line_no):
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "long.gr"
+        path.write_text(text.format("1" * (limit + 1)))
+        message = f"error: line {line_no}: number with more than {limit} digits\n"
+        assert capture(["bound", "--in", str(path)]) == (2, "", message)
+
     def test_edgeless_header_rejected_without_traversal(self, tmp_path):
         path = tmp_path / "edgeless.gr"
         path.write_text("p 1000000 0\n")

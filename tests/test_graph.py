@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -7,8 +8,8 @@ from diffcolor import (MAX_N, CaterpillarShape, GraphParseError, NotATreeError,
                        gen_caterpillar, gen_random_caterpillar,
                        gen_regular_caterpillar, gen_spider, parse_graph,
                        recognize_caterpillar, recognize_spider, write_graph)
-from diffcolor.graph import _EdgeError
-from helpers import length_multisets, partitions, path_graph, small_peak
+from diffcolor.graph import _EdgeError, _parse_lines
+from helpers import length_multisets, parse_outcome, partitions, path_graph, small_peak
 
 
 class TestTree:
@@ -37,13 +38,31 @@ class TestTree:
         ([(0, 9), (0, 1), (1, 0)], 0, "endpoint out of range 0..3: (0, 9)"),
         ([(0, 1), (1, 0), (0, 9)], 1, "duplicate edge (0, 1)"),
         ([(1, 2), (2, 1), (0, 1), (0, 1)], 1, "duplicate edge (1, 2)"),
+        ([(0, 1), (1.0, 2), (1, 0)], 1, "non-integer endpoint (1.0, 2)"),
+        ([(0, 1), (1, 0), (1.0, 2)], 1, "duplicate edge (0, 1)"),
+        ([(False, 1), (2, 2)], 0, "non-integer endpoint (False, 1)"),
+        ([(0, 1), (2, 2), (True, 3)], 1, "self-loop at vertex 2"),
+        ([(1, 2), (0, 1.5), (2, 1)], 1, "non-integer endpoint (0, 1.5)"),
+        ([(3, 3), (0, 1.5)], 0, "self-loop at vertex 3"),
     ], ids=["dup-then-loop", "loop-then-dup", "range-then-dup", "dup-then-range",
-            "two-dups"])
+            "two-dups", "float-then-dup", "dup-then-float", "bool-then-loop",
+            "loop-then-bool", "half-then-dup", "loop-then-half"])
     def test_first_fault_in_edge_order(self, edges, index, message):
         with pytest.raises(_EdgeError) as info:
             Tree(4, edges)
         assert type(info.value) is _EdgeError and str(info.value) == message
         assert info.value.index == index
+
+    @pytest.mark.parametrize("edge", [(0, 1.0), (False, True), (0, "1"), (None, 1)])
+    def test_rejects_non_integer_endpoint(self, edge):
+        with pytest.raises(ValueError, match=r"^non-integer endpoint \("):
+            Tree(2, [edge])
+
+    def test_int_subclass_endpoints_accepted(self):
+        class Vertex(int):
+            pass
+
+        assert Tree(2, [(Vertex(1), Vertex(0))]).edges == ((0, 1),)
 
     def test_list_edges_become_tuples(self):
         t = Tree(3, [[0, 1], [1, 2]])
@@ -150,6 +169,14 @@ class TestParseGraph:
         with pytest.raises(GraphParseError, match="line 2: vertex count must be positive"):
             parse_graph("c x\np 0 0\n")
 
+    @pytest.mark.parametrize("text, line_no", [
+        ("p 2 1\ne 1 {}\n", 2), ("c x\np {} 0\n", 2)], ids=["edge", "header"])
+    def test_over_long_number_names_its_line(self, text, line_no):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(GraphParseError) as info:
+            parse_graph(text.format("1" * (limit + 1)))
+        assert str(info.value) == f"line {line_no}: number with more than {limit} digits"
+
     def test_round_trip_bit_exact(self):
         text = "p 4 3\ne 1 2\ne 2 3\ne 2 4\n"
         assert write_graph(parse_graph(text)) == text
@@ -157,6 +184,44 @@ class TestParseGraph:
     def test_round_trip_tree(self):
         t = gen_spider([2, 3, 1])[0]
         assert parse_graph(write_graph(t)) == t
+
+
+LONG = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+class TestCanonicalFastPath:
+    """parse_graph reads write_graph's text by a fast path and everything else
+    line by line (_parse_lines): both readings must agree on every text."""
+
+    @pytest.mark.parametrize("text", [
+        "p 3 2\ne 1 2\ne 2 3\n", "p 1 0\n", "p 4 3\ne 4 1\ne 2 4\ne 3 4\n",
+        "c hi\np 2 1\ne 1 2\n", "p 2 1\nc x\ne 1 2\n", "p 2 1\r\ne 1 2\r\n",
+        "p 2 1\ne 1 2", "p 2 1\ne 1 2\n\n", "p 2 1\x0be 1 2\n", "p 2 1\ne 1 2\u2028",
+        "p 2 1\ne 01 2\n", "p 02 1\ne 1 2\n", "p 3 1\ne 1 2 3\n",
+        "p 3 3\ne 1 2\ne 2 3\n", "p 3 1\ne 1 2\ne 2 3\n", "p 2 1\ne 1 1\n",
+        "p 2 2\ne 1 2\ne 2 1\n", "p 2 1\ne 1 3\n", "p 2 1\ne 0 1\n", "p 0 0\n",
+        f"p 2 1\ne 1 {LONG}\n", f"p {LONG} 0\n", "p 2 1\ne 1  2\n",
+        "p 2 1\ne 1 \u0662\n", "p 2 1\ne 1,2\n", "p 3 2\ne 1 2\t\ne 2 3\n",
+        "p 2 1\ne 1e0 2\n", "", "e 1 2\np 2 1\n", f"p {MAX_N + 1} 0\n",
+    ], ids=["valid", "single-vertex", "unsorted", "comment-first", "comment-mid",
+            "crlf", "no-final-newline", "trailing-blank-line", "vertical-tab",
+            "line-separator", "edge-leading-zero", "header-leading-zero",
+            "three-numbers", "m-too-high", "m-too-low", "self-loop", "duplicate",
+            "out-of-range", "zero-endpoint", "p-0-0", "long-edge-number",
+            "long-header-number", "double-space", "non-ascii-digit", "comma",
+            "trailing-tab", "exponent", "empty", "edge-before-header", "over-max-n"])
+    def test_agrees_with_the_line_reading(self, text):
+        assert parse_outcome(parse_graph, text) == parse_outcome(_parse_lines, text)
+
+    def test_canonical_text_skips_the_line_reading(self, monkeypatch):
+        def refuse(text):
+            raise AssertionError("canonical text read line by line")
+
+        monkeypatch.setattr("diffcolor.graph._parse_lines", refuse)
+        t = gen_spider([2, 3, 1])[0]
+        assert parse_graph(write_graph(t)) == t
+        with pytest.raises(AssertionError):  # a comment leaves the fast path
+            parse_graph("c x\n" + write_graph(t))
 
 
 class TestRecognizeCaterpillar:

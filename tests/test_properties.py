@@ -14,7 +14,8 @@ from diffcolor import (SCHEMES, Labeling, NotApplicable, Tree,
                        mark_caterpillar, parse_graph, recognize_caterpillar,
                        recognize_spider, run_scheme, upper_bound_report,
                        write_graph)
-from helpers import LABEL_SHAPE
+from diffcolor.graph import _parse_lines
+from helpers import LABEL_SHAPE, parse_outcome
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -86,6 +87,37 @@ def test_run_scheme_matches_the_direct_call(tree):
 def test_graph_file_round_trip(tree):
     back = parse_graph(write_graph(tree))
     assert back == tree and hash(back) == hash(tree)
+
+
+# One edit of one line of a graph file; each takes the line and a number.
+LINE_EDITS = [
+    lambda line, k: line,                                     # keep it
+    lambda line, k: "{0} {2} {1}\n".format(*line.split()),    # swap its numbers
+    lambda line, k: "",                                       # delete it
+    lambda line, k: line + line,                              # repeat it
+    lambda line, k: line.replace("\n", "\r\n"),               # CRLF
+    lambda line, k: line.rstrip("\n"),                        # drop its newline
+    lambda line, k: "c note\n" + line,                        # comment before it
+    lambda line, k: line + "\n",                              # blank line after it
+    lambda line, k: line.replace(" ", " 0", 1),               # leading zero
+    lambda line, k: line.replace(" ", "  ", 1),               # double space
+    lambda line, k: ",".join(line.rsplit(" ", 1)),            # comma before the last number
+    lambda line, k: line.replace("\n", "\t\n"),               # trailing tab
+    lambda line, k: line.replace("\n", f" {k}\n"),            # a third number
+    lambda line, k: " ".join(line.split(" ")[:-1] + [f"{k}\n"]),  # last number -> k
+]
+
+
+@given(relabeled(caterpillars() | spiders()), st.integers(0, 10**6),
+       st.sampled_from(LINE_EDITS), st.integers(0, 250))
+def test_parse_agrees_with_the_line_reading(tree, at, edit, k):
+    """A write_graph text with one line edited: parse_graph's fast path and
+    the line reading give the same Tree or the same error."""
+    lines = write_graph(tree).splitlines(keepends=True)
+    i = at % len(lines)
+    lines[i] = edit(lines[i], k)
+    text = "".join(lines)
+    assert parse_outcome(parse_graph, text) == parse_outcome(_parse_lines, text)
 
 
 @given(relabeled(caterpillars() | spiders()), seeds)
