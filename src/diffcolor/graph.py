@@ -73,15 +73,12 @@ class Tree(Record):
             raise ValueError("vertex count must be positive")
         check_vertex_count(n)
         fault = None
-        if set(map(type, chain.from_iterable(edges))) - {int}:  # builtins pass int endpoints
-            for i, (u, v) in enumerate(edges):
-                if not (_is_int(u) and _is_int(v)):
-                    fault = "non-integer endpoint", f"({u!r}, {v!r})"
-                    edges = edges[:i]  # a fault before edge i comes first
-                    break
         norm = []  # len(norm) is the index of the edge at hand
         for e in edges:
             u, v = e
+            if (type(u) is not int or type(v) is not int) and not (_is_int(u) and _is_int(v)):
+                fault = "non-integer endpoint", f"({u!r}, {v!r})"
+                break
             if u == v:
                 fault = "self-loop", f"at vertex {u}"
                 break
@@ -189,7 +186,8 @@ def parse_graph(text: str) -> Tree:
     text is read line by line: comments, other line breaks, a missing final
     newline, and a canonical text whose numbers JSON refuses (leading zeros,
     more digits than int() reads), whose edge count is not M or whose edges
-    Tree rejects. Only the line reading raises GraphParseError.
+    Tree rejects. Only the line reading raises GraphParseError. A text that
+    falls back pays for the failed fast-path attempt as well.
     """
     tree = _parse_canonical(text)
     return tree if tree is not None else _parse_lines(text)
