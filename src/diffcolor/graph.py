@@ -9,8 +9,11 @@ import json
 import random
 import re
 import sys
-from functools import cached_property
-from itertools import accumulate, chain, filterfalse
+from collections import defaultdict
+from collections.abc import Iterator
+from functools import cached_property, reduce
+from itertools import accumulate, chain, compress
+from operator import itemgetter, ne, xor
 
 from ._record import Record
 
@@ -53,6 +56,9 @@ class _EdgeError(ValueError):
         self.index, self.reason = index, reason
 
 
+_SWAP_COLORS = bytes.maketrans(b"\0\1", b"\1\0")
+
+
 class Tree(Record):
     """A simple undirected graph.
 
@@ -61,9 +67,13 @@ class Tree(Record):
     edges is a sequence of vertex pairs; endpoints must be ints (not bools).
     Edges are normalized to (min, max) at construction.
 
-    Derived structures (adjacency, 2-coloring, component count, recognized
-    caterpillar and spider shapes) are computed once, on first use, and
-    cached on the instance; they take no part in ==, hash or repr.
+    Derived structures are computed once, on first use, and cached on the
+    instance; they take no part in ==, hash or repr. One pass over the edges
+    gives each vertex's degree and the XOR of its neighbours' ids (_degxor).
+    degrees(), the 2-coloring and component count (by peeling leaves) and
+    the recognized caterpillar and spider shapes (by walks along the XORs)
+    read only that pass. Neighbour lists (_adj) are built only for
+    adjacency() and to color a graph that has a cycle.
     """
 
     _fields = ("n", "edges")
@@ -105,6 +115,20 @@ class Tree(Record):
         return len(self.edges)
 
     @cached_property
+    def _degxor(self) -> tuple[list[int], list[int]]:
+        """(deg, nx) from one pass over the edges: deg[v] is v's degree and
+        nx[v] the XOR of its neighbours' ids, so a vertex of degree 1 has its
+        neighbour in nx."""
+        deg = [0] * self.n
+        nx = [0] * self.n
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+            nx[u] ^= v
+            nx[v] ^= u
+        return deg, nx
+
+    @cached_property
     def _adj(self) -> tuple[tuple[int, ...], ...]:
         adj: list = [[] for _ in range(self.n)]
         for u, v in self.edges:
@@ -114,8 +138,49 @@ class Tree(Record):
 
     @cached_property
     def _coloring(self) -> tuple[bytes, int, bool]:
-        """(colors, component count, bipartite?) from one traversal; the
-        smallest vertex of each component gets color 0."""
+        """(colors, component count, bipartite?); the smallest vertex of each
+        component gets color 0.
+
+        Leaves are peeled off one by one, each from its one remaining
+        neighbour's degree and XOR, so a peeled vertex's nx entry is left
+        holding that neighbour, its parent; a vertex whose last neighbour was
+        peeled into it is its component's root. A forest peels completely,
+        and its colors follow in reverse peel order. A graph with a cycle
+        keeps vertices of degree >= 2 and is colored by a traversal of _adj.
+        """
+        n = self.n
+        deg, nx = map(list, self._degxor)
+        order = list(_leaves(deg))
+        for v in order:  # order grows as vertices become leaves
+            if deg[v]:  # else v is a root
+                p = nx[v]
+                nx[p] ^= v
+                d = deg[p] = deg[p] - 1
+                if d == 1:
+                    order.append(p)
+        if max(deg) > 1:
+            return self._dfs_coloring()
+        color = bytearray(n)
+        for v in reversed(order):
+            if deg[v]:
+                color[v] = color[nx[v]] ^ 1
+        components = n - self.m
+        if components > 1:  # flip each component whose smallest vertex got 1
+            root = list(range(n))
+            for v in reversed(order):
+                if deg[v]:
+                    root[v] = root[nx[v]]
+            flip: dict[int, int] = {}
+            for v, r in enumerate(root):
+                flip.setdefault(r, color[v])
+            color = bytearray(c ^ flip[r] for c, r in zip(color, root))
+        elif color[0]:
+            color = color.translate(_SWAP_COLORS)
+        return bytes(color), components, True
+
+    def _dfs_coloring(self) -> tuple[bytes, int, bool]:
+        """_coloring by a depth-first traversal of _adj from each component's
+        smallest vertex; the colors clash across an odd cycle."""
         adj = self._adj
         color = bytearray(b"\x02") * self.n  # 2 = not yet reached
         components = 0
@@ -151,7 +216,7 @@ class Tree(Record):
         return [list(nbrs) for nbrs in self._adj]
 
     def degrees(self) -> list[int]:
-        return [len(nbrs) for nbrs in self._adj]
+        return list(self._degxor[0])
 
     def component_count(self) -> int:
         return self._coloring[1]
@@ -175,7 +240,8 @@ _NOT_EDGE_LINE = re.compile(r"\n(?!e [0-9]+ [0-9]+\n|\Z)")
 
 def parse_graph(text: str) -> Tree:
     """Parse the graph file format: comments "c ...", one header "p <n> <m>",
-    then m edge lines "e <u> <v>" with 1-based endpoints.
+    then m edge lines "e <u> <v>" with 1-based endpoints. Empty lines are
+    skipped like comments; a line of spaces is malformed.
 
     Raises GraphParseError (with line number) on any format violation; the
     edge rules themselves (range, self-loop, duplicate) are Tree's.
@@ -225,7 +291,7 @@ def _parse_lines(text: str) -> Tree:
     lines = text.splitlines()
     for line_no, line in enumerate(lines, start=1):
         fields = line.split(" ")
-        if fields[0] == "c":  # "c" alone or "c ..."
+        if fields[0] == "c" or not line:  # "c" alone, "c ...", or an empty line
             continue
         numeric = (len(fields) == 3 and line.isascii()
                    and fields[1].isdigit() and fields[2].isdigit())
@@ -279,7 +345,9 @@ def write_graph(t: Tree) -> str:
 
 def _check_vertices(n: int, *blocks: tuple[int, ...]) -> None:
     """The shapes' partition rule: the blocks hold each of 0..n-1 exactly once."""
-    if sorted(chain.from_iterable(blocks)) != list(range(n)):
+    vertices = sorted(chain.from_iterable(blocks))
+    # compared against a lazy range: list(range(n)) would allocate n ints
+    if len(vertices) != n or any(map(ne, vertices, range(n))):
         raise ValueError("shape vertices must be exactly 0..n-1")
 
 
@@ -407,6 +475,11 @@ class SpiderShape(_Shape):
         return tuple(edges)
 
 
+def _leaves(deg: list[int]) -> Iterator[int]:
+    """The vertices of degree 1, in ascending order."""
+    return compress(range(len(deg)), map((1).__eq__, deg))
+
+
 def _require_connected_tree(t: Tree) -> None:
     if not t.is_tree():
         raise NotATreeError("input is not a connected tree")
@@ -429,30 +502,27 @@ def _caterpillar_shape(t: Tree) -> CaterpillarShape | None:
         return CaterpillarShape((0,), (0,), ((),))
     if t.n == 2:
         return CaterpillarShape((1,), (0,), ((1,),))
-    adj = t._adj
-    on_spine = [len(nbrs) >= 2 for nbrs in adj]
-    is_spine = on_spine.__getitem__
-    ends = []
-    for v, nbrs in enumerate(adj):
-        if on_spine[v]:
-            inner = sum(map(is_spine, nbrs))
-            if inner > 2:
-                return None
-            if inner == 1:
-                ends.append(v)
-    spine_count = on_spine.count(True)
-    if spine_count == 1:
-        spine = [on_spine.index(True)]
+    deg, nx = t._degxor
+    legs: defaultdict[int, list[int]] = defaultdict(list)
+    for leaf in _leaves(deg):
+        legs[nx[leaf]].append(leaf)
+    s = t.n - sum(map(len, legs.values()))
+    if s == 1:
+        spine = list(legs)
     else:
-        spine = [ends[0]]
-        prev = -1
-        while len(spine) < spine_count:
-            cur = spine[-1]
-            nxt = next(u for u in adj[cur] if on_spine[u] and u != prev)
-            spine.append(nxt)
-            prev = cur
-    legs = tuple(tuple(sorted(filterfalse(is_spine, adj[v]))) for v in spine)
-    return CaterpillarShape(tuple(len(l) for l in legs), tuple(spine), legs)
+        # The non-leaves form a subtree, a path exactly when it has two ends;
+        # an end has one non-leaf neighbour, so at least one leg.
+        ends = [v for v, vlegs in legs.items() if deg[v] - len(vlegs) == 1]
+        if len(ends) != 2:
+            return None
+        prev = min(ends)
+        cur = reduce(xor, legs[prev], nx[prev])
+        spine = [prev, cur]
+        for _ in range(s - 2):  # XOR out prev and cur's legs: cur's other non-leaf neighbour
+            prev, cur = cur, reduce(xor, legs.get(cur, ()), nx[cur] ^ prev)
+            spine.append(cur)
+    leg_vertices = tuple(tuple(legs.get(v, ())) for v in spine)
+    return CaterpillarShape(tuple(map(len, leg_vertices)), tuple(spine), leg_vertices)
 
 
 def recognize_spider(t: Tree) -> SpiderShape | None:
@@ -468,31 +538,38 @@ def recognize_spider(t: Tree) -> SpiderShape | None:
 
 
 def _spider_shape(t: Tree) -> SpiderShape | None:
-    adj = t._adj
-
-    def arm(prev: int, cur: int) -> tuple[int, ...]:
-        """The vertices from cur away from prev, up to the first one whose
-        degree is not 2."""
-        verts = [cur]
-        while len(adj[cur]) == 2:
-            a, b = adj[cur]
-            prev, cur = cur, (b if a == prev else a)
-            verts.append(cur)
-        return tuple(verts)
-
-    big = [v for v, nbrs in enumerate(adj) if len(nbrs) >= 3]
-    if len(big) > 1:
+    n = t.n
+    if n < 3:
         return None
-    if big:
-        center = big[0]
-    elif t.n < 3:
+    deg, nx = t._degxor
+    leaves = _leaves(deg)
+    branches = n - deg.count(1) - deg.count(2)  # vertices of degree >= 3
+    if branches > 1:
         return None
+    if branches == 1:
+        center = next(compress(range(n), map((2).__lt__, deg)))
+        arms = []
+        for leaf in leaves:  # walk each arm inward, from its leaf to the center
+            arm = [leaf]
+            prev, cur = leaf, nx[leaf]
+            while cur != center:
+                arm.append(cur)
+                prev, cur = cur, nx[cur] ^ prev
+            arm.reverse()
+            arms.append(tuple(arm))
+        arms.sort(key=itemgetter(0))  # by the vertex next to the center
     else:  # a path: center at a most-balanced interior vertex, ties to the smaller id
-        start = min(v for v, nbrs in enumerate(adj) if len(nbrs) == 1)
-        path = (start, *arm(start, adj[start][0]))
-        center = path[min(range(1, t.n - 1), key=lambda i: (abs(t.n - 1 - 2 * i), path[i]))]
-    arms = tuple(arm(center, first) for first in sorted(adj[center]))
-    return SpiderShape(tuple(map(len, arms)), center, arms)
+        start = next(leaves)
+        path = [start]
+        prev, cur = start, nx[start]
+        for _ in range(n - 2):
+            path.append(cur)
+            prev, cur = cur, nx[cur] ^ prev
+        path.append(cur)
+        i = min((n - 1) // 2, n // 2, key=path.__getitem__)  # the one or two most balanced
+        center = path[i]
+        arms = sorted((tuple(path[i - 1::-1]), tuple(path[i + 1:])))
+    return SpiderShape(tuple(map(len, arms)), center, tuple(arms))
 
 
 def _id_blocks(start: int, sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:

@@ -1,20 +1,24 @@
-"""Shared test utilities: independent brute-force value computation and
-exhaustive enumeration of small structures.
+"""Shared test utilities: independent brute-force value computation,
+exhaustive enumeration of small structures, and reference implementations.
 
 naive_dc deliberately re-implements the objective from scratch (permutations,
 inline abs differences) so it can serve as an independent check on the
-package's exact solver.
+package's exact solver. reference_coloring, reference_caterpillar_shape and
+reference_spider_shape work from neighbour lists, as the package did before
+it read degrees and neighbour XORs instead.
 """
 
+import collections
 import contextlib
 import functools
 import heapq
 import itertools
 import tracemalloc
+from itertools import filterfalse
 
-from diffcolor import (SizeLimitError, Tree, label_general_caterpillar,
-                       label_regular_caterpillar, label_spider_all_even,
-                       label_spider_all_odd)
+from diffcolor import (CaterpillarShape, SizeLimitError, SpiderShape, Tree,
+                       label_general_caterpillar, label_regular_caterpillar,
+                       label_spider_all_even, label_spider_all_odd)
 
 # scheme name -> the public function that labels a shape and checks on its edges
 LABEL_SHAPE = {"regular-cat": label_regular_caterpillar, "spider-even": label_spider_all_even,
@@ -157,3 +161,88 @@ def parse_outcome(parse, text):
         return repr(parse(text))
     except (ValueError, SizeLimitError) as exc:
         return type(exc), str(exc)
+
+
+def reference_coloring(t):
+    """(colors, component count, bipartite?) by breadth-first search over
+    t.adjacency() from each component's smallest vertex, which gets color 0."""
+    adj = t.adjacency()
+    color = [None] * t.n
+    components = 0
+    bipartite = True
+    for root in range(t.n):
+        if color[root] is not None:
+            continue
+        components += 1
+        color[root] = 0
+        queue = collections.deque([root])
+        while queue:
+            v = queue.popleft()
+            for u in adj[v]:
+                if color[u] is None:
+                    color[u] = 1 - color[v]
+                    queue.append(u)
+                elif color[u] == color[v]:
+                    bipartite = False
+    return color, components, bipartite
+
+
+def reference_caterpillar_shape(t):
+    """The caterpillar recognizer as it was on adjacency lists (t._adj)."""
+    if t.n == 1:
+        return CaterpillarShape((0,), (0,), ((),))
+    if t.n == 2:
+        return CaterpillarShape((1,), (0,), ((1,),))
+    adj = t._adj
+    on_spine = [len(nbrs) >= 2 for nbrs in adj]
+    is_spine = on_spine.__getitem__
+    ends = []
+    for v, nbrs in enumerate(adj):
+        if on_spine[v]:
+            inner = sum(map(is_spine, nbrs))
+            if inner > 2:
+                return None
+            if inner == 1:
+                ends.append(v)
+    spine_count = on_spine.count(True)
+    if spine_count == 1:
+        spine = [on_spine.index(True)]
+    else:
+        spine = [ends[0]]
+        prev = -1
+        while len(spine) < spine_count:
+            cur = spine[-1]
+            nxt = next(u for u in adj[cur] if on_spine[u] and u != prev)
+            spine.append(nxt)
+            prev = cur
+    legs = tuple(tuple(sorted(filterfalse(is_spine, adj[v]))) for v in spine)
+    return CaterpillarShape(tuple(len(l) for l in legs), tuple(spine), legs)
+
+
+def reference_spider_shape(t):
+    """The spider recognizer as it was on adjacency lists (t._adj)."""
+    adj = t._adj
+
+    def arm(prev: int, cur: int) -> tuple[int, ...]:
+        """The vertices from cur away from prev, up to the first one whose
+        degree is not 2."""
+        verts = [cur]
+        while len(adj[cur]) == 2:
+            a, b = adj[cur]
+            prev, cur = cur, (b if a == prev else a)
+            verts.append(cur)
+        return tuple(verts)
+
+    big = [v for v, nbrs in enumerate(adj) if len(nbrs) >= 3]
+    if len(big) > 1:
+        return None
+    if big:
+        center = big[0]
+    elif t.n < 3:
+        return None
+    else:  # a path: center at a most-balanced interior vertex, ties to the smaller id
+        start = min(v for v, nbrs in enumerate(adj) if len(nbrs) == 1)
+        path = (start, *arm(start, adj[start][0]))
+        center = path[min(range(1, t.n - 1), key=lambda i: (abs(t.n - 1 - 2 * i), path[i]))]
+    arms = tuple(arm(center, first) for first in sorted(adj[center]))
+    return SpiderShape(tuple(map(len, arms)), center, arms)

@@ -6,10 +6,13 @@ import pytest
 from diffcolor import (MAX_N, CaterpillarShape, GraphParseError, NotATreeError,
                        SizeLimitError, SpiderShape, Tree, bipartition_sizes,
                        gen_caterpillar, gen_random_caterpillar,
-                       gen_regular_caterpillar, gen_spider, parse_graph,
-                       recognize_caterpillar, recognize_spider, write_graph)
+                       gen_regular_caterpillar, gen_spider, label_auto,
+                       mp_value, parse_graph, recognize_caterpillar,
+                       recognize_spider, upper_bound_report, write_graph)
 from diffcolor.graph import _EdgeError, _parse_lines
-from helpers import length_multisets, parse_outcome, partitions, path_graph, small_peak
+from helpers import (length_multisets, parse_outcome, partitions, path_graph,
+                     reference_caterpillar_shape, reference_spider_shape,
+                     small_peak)
 
 
 class TestTree:
@@ -82,10 +85,10 @@ class TestTree:
 
     def test_too_few_edges_skip_the_traversal(self):
         # n - 1 edges are needed to connect n vertices; with fewer, the
-        # answer must not cost an O(n) adjacency and coloring.
+        # answer must not cost an O(n) degree pass, adjacency or coloring.
         t = Tree(10**6, ())
         assert not t.is_connected()
-        assert "_adj" not in t.__dict__ and "_coloring" not in t.__dict__
+        assert not {"_degxor", "_adj", "_coloring"} & t.__dict__.keys()
 
 
 class TestSizeLimit:
@@ -182,6 +185,22 @@ class TestParseGraph:
             parse_graph(text.format("1" * (limit + 1)))
         assert str(info.value) == f"line {line_no}: number with more than {limit} digits"
 
+    @pytest.mark.parametrize("text", [
+        "p 2 1\ne 1 2\n\n", "\np 2 1\n\ne 1 2\n", "p 2 1\ne 1 2\n\n\n"],
+        ids=["trailing", "leading-and-inner", "two-trailing"])
+    def test_empty_lines_skipped(self, text):
+        assert repr(parse_graph(text)) == repr(parse_graph("p 2 1\ne 1 2\n"))
+
+    def test_empty_lines_keep_line_numbers(self):
+        with pytest.raises(GraphParseError, match="^line 4: self-loop: 'e 2 2'$"):
+            parse_graph("p 2 1\n\n\ne 2 2\n")
+
+    @pytest.mark.parametrize("blank", [" ", "\t"])
+    def test_blank_but_not_empty_line_is_malformed(self, blank):
+        with pytest.raises(GraphParseError) as info:
+            parse_graph(f"p 2 1\ne 1 2\n{blank}\n")
+        assert str(info.value) == f"line 3: malformed line {blank!r}"
+
     def test_round_trip_bit_exact(self):
         text = "p 4 3\ne 1 2\ne 2 3\ne 2 4\n"
         assert write_graph(parse_graph(text)) == text
@@ -266,6 +285,42 @@ class TestRecognizeCaterpillar:
             recognize_caterpillar(Tree(4, ((0, 1), (2, 3))))
         with pytest.raises(NotATreeError):
             recognize_caterpillar(Tree(3, ((0, 1), (1, 2), (0, 2))))
+
+
+def _zero_swapped(tree, x):
+    """tree with the ids 0 and x exchanged."""
+    swap = {0: x, x: 0}
+    return Tree(tree.n, [(swap.get(u, u), swap.get(v, v)) for u, v in tree.edges])
+
+
+class TestVertexZeroInEveryRole:
+    """0 is both a vertex id and the XOR identity: the recognizers must give
+    the adjacency-list reference's shapes wherever vertex 0 sits."""
+
+    @pytest.mark.parametrize("tree", [
+        gen_caterpillar([2, 0, 1, 3])[0], gen_caterpillar([1, 1])[0],
+        gen_caterpillar([4])[0], gen_spider([2, 3, 1])[0], gen_spider([3, 3])[0],
+        path_graph(6), path_graph(7)],
+        ids=["caterpillar", "two-spine", "star", "spider", "even-path-spider",
+             "even-path", "odd-path"])
+    def test_matches_the_reference(self, tree):
+        for x in range(tree.n):  # 0 takes the place of each vertex in turn
+            t = _zero_swapped(tree, x)
+            assert recognize_caterpillar(t) == reference_caterpillar_shape(t)
+            assert recognize_spider(t) == reference_spider_shape(t)
+
+    def test_zero_as_spine_vertex_arm_vertex_and_center(self):
+        cat = gen_caterpillar([2, 0, 1, 3])[0]  # spine 0-1-2-3
+        end = recognize_caterpillar(_zero_swapped(cat, 3))
+        assert end.spine_vertices == (0, 2, 1, 3)
+        assert end.leg_vertices == ((7, 8, 9), (6,), (), (4, 5))
+        legless = recognize_caterpillar(_zero_swapped(cat, 1))
+        assert legless.spine_vertices == (1, 0, 2, 3)
+        assert legless.leg_vertices == ((4, 5), (), (6,), (7, 8, 9))
+        spider = gen_spider([2, 3, 1])[0]  # center 0, arms 1-2, 3-4-5, 6
+        assert recognize_spider(spider).center == 0
+        arm = recognize_spider(_zero_swapped(spider, 4))
+        assert arm.center == 4 and arm.path_vertices == ((1, 2), (3, 0, 5), (6,))
 
 
 class TestRecognizeSpider:
@@ -468,6 +523,20 @@ class TestDerivedCache:
         assert t.adjacency() == fresh
         t.adjacency()[2].clear()
         assert t.adjacency() == fresh
+
+    @pytest.mark.parametrize("tree", [gen_random_caterpillar(random.Random(5), 30, 4)[0],
+                                      gen_spider([4, 2, 6, 2])[0]], ids=["caterpillar", "spider"])
+    def test_tree_path_builds_no_adjacency(self, tree):
+        # label_auto, the bounds and mp_value read the degree/XOR pass only
+        rng = random.Random(6)
+        perm = rng.sample(range(tree.n), tree.n)
+        edges = [(perm[u], perm[v]) for u, v in tree.edges]
+        rng.shuffle(edges)
+        t = parse_graph(write_graph(Tree(tree.n, edges)))
+        label_auto(t)
+        upper_bound_report(t)
+        mp_value(t)
+        assert "_degxor" in t.__dict__ and "_adj" not in t.__dict__
 
     def test_caches_stay_out_of_eq_hash_repr(self):
         a, _ = gen_spider([2, 3, 3])

@@ -1,6 +1,8 @@
 """Hypothesis properties of recognition, evaluation, the schemes and the
 graph file format on caterpillars and spiders (n <= 200) with randomly
-permuted vertex ids."""
+permuted vertex ids; of the coloring and component count on random trees,
+forests and graphs with one cycle; and of both recognizers against their
+adjacency-list reference on trees up to n ~ 2000."""
 
 import random
 
@@ -9,13 +11,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from diffcolor import (SCHEMES, Labeling, NotApplicable, Tree,
-                       differential_value, gen_caterpillar, gen_spider,
-                       label_auto, label_general_caterpillar,
+                       bipartition_sizes, differential_value, gen_caterpillar,
+                       gen_spider, label_auto, label_general_caterpillar,
                        mark_caterpillar, parse_graph, recognize_caterpillar,
                        recognize_spider, run_scheme, upper_bound_report,
                        write_graph)
 from diffcolor.graph import _parse_lines
-from helpers import LABEL_SHAPE, parse_outcome
+from helpers import (LABEL_SHAPE, parse_outcome, pruefer_to_edges,
+                     reference_caterpillar_shape, reference_coloring,
+                     reference_spider_shape)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -49,6 +53,91 @@ def relabeled(draw, trees):
     edges = [(perm[u], perm[v]) for u, v in tree.edges]
     rng.shuffle(edges)
     return Tree(tree.n, tuple(edges))
+
+
+def _pruefer_edges(rng, n):
+    """The edges of a uniform random labeled tree on 0..n-1."""
+    if n == 1:
+        return []
+    if n == 2:
+        return [(0, 1)]
+    return pruefer_to_edges([rng.randrange(n) for _ in range(n - 2)], n)
+
+
+@st.composite
+def pruefer_trees(draw, max_n):
+    n = draw(st.integers(1, max_n))
+    return Tree(n, _pruefer_edges(random.Random(draw(seeds)), n))
+
+
+@st.composite
+def forests(draw):
+    """A disjoint union of random trees (isolated vertices included); the
+    relabeled strategy shuffles the ids across the trees."""
+    rng = random.Random(draw(seeds))
+    edges = []
+    n = 0
+    for size in draw(st.lists(st.integers(1, 30), min_size=1, max_size=8)):
+        edges += [(n + u, n + v) for u, v in _pruefer_edges(rng, size)]
+        n += size
+    return Tree(n, edges)
+
+
+@st.composite
+def maybe_extra_edge(draw, graphs):
+    """A graph from graphs, as drawn or with one random edge it lacks, which
+    closes a cycle (odd or even) or joins two components."""
+    t = draw(graphs)
+    if not draw(st.booleans()) or 2 * t.m == t.n * (t.n - 1):  # kept, or complete
+        return t
+    rng = random.Random(draw(seeds))
+    while (edge := tuple(sorted(rng.sample(range(t.n), 2)))) in t.edges:
+        pass
+    return Tree(t.n, (*t.edges, edge))
+
+
+@given(relabeled(maybe_extra_edge(pruefer_trees(200) | forests())))
+def test_coloring_matches_the_reference_search(tree):
+    """Peeling leaves gives the component count, forest and tree tests and
+    color classes of a breadth-first search over the neighbour lists."""
+    colors, components, bipartite = reference_coloring(tree)
+    assert tree.component_count() == components
+    assert tree.is_forest() == (tree.m == tree.n - components)
+    assert tree.is_tree() == (components == 1 and tree.m == tree.n - 1)
+    if bipartite:
+        ones = colors.count(1)
+        assert bipartition_sizes(tree) == (max(tree.n - ones, ones), min(tree.n - ones, ones))
+        assert list(tree._coloring[0]) == colors
+    else:
+        with pytest.raises(ValueError, match="odd cycle"):
+            bipartition_sizes(tree)
+    if tree.is_forest():
+        peeled = tree._coloring[0]
+        assert all(peeled[u] != peeled[v] for u, v in tree.edges)
+    assert tree.degrees() == [len(nbrs) for nbrs in tree.adjacency()]
+
+
+@st.composite
+def large_caterpillars(draw):
+    rng = random.Random(draw(seeds))
+    max_legs = draw(st.integers(0, 6))
+    counts = [rng.randint(0, max_legs) for _ in range(draw(st.integers(1, 300)))]
+    counts[0] = max(counts[0], 1)
+    counts[-1] = max(counts[-1], 1)
+    return gen_caterpillar(counts)[0]
+
+
+@st.composite
+def large_spiders(draw):
+    rng = random.Random(draw(seeds))
+    max_length = draw(st.integers(1, 50))
+    return gen_spider([rng.randint(1, max_length) for _ in range(draw(st.integers(1, 40)))])[0]
+
+
+@given(relabeled(large_caterpillars() | large_spiders() | pruefer_trees(2000)))
+def test_recognizers_match_the_adjacency_reference(tree):
+    assert recognize_caterpillar(tree) == reference_caterpillar_shape(tree)
+    assert recognize_spider(tree) == reference_spider_shape(tree)
 
 
 @given(relabeled(caterpillars() | parity_uniform_spiders()), seeds)
