@@ -142,9 +142,10 @@ class Tree(Record):
         component gets color 0.
 
         Leaves are peeled off one by one, each from its one remaining
-        neighbour's degree and XOR, so a peeled vertex's nx entry is left
-        holding that neighbour, its parent; a vertex whose last neighbour was
-        peeled into it is its component's root. A forest peels completely,
+        neighbour's degree and XOR, so a peeled vertex keeps degree 1 and an
+        nx entry holding that neighbour, its parent; a vertex whose last
+        neighbour was peeled into it, left at degree 0, is its component's
+        root. A forest peels completely,
         and its colors follow in reverse peel order. A graph with a cycle
         keeps vertices of degree >= 2 and is colored by a traversal of _adj.
         """
