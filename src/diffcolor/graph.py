@@ -56,9 +56,6 @@ class _EdgeError(ValueError):
         self.index, self.reason = index, reason
 
 
-_SWAP_COLORS = bytes.maketrans(b"\0\1", b"\1\0")
-
-
 class Tree(Record):
     """A simple undirected graph.
 
@@ -70,15 +67,17 @@ class Tree(Record):
     Derived structures are computed once, on first use, and cached on the
     instance; they take no part in ==, hash or repr. One pass over the edges
     gives each vertex's degree and the XOR of its neighbours' ids (_degxor).
-    degrees(), the 2-coloring and component count (by peeling leaves) and
-    the recognized caterpillar and spider shapes (by walks along the XORs)
-    read only that pass. Neighbour lists (_adj) are built only for
-    adjacency() and to color a graph that has a cycle.
+    degrees(), the recognized caterpillar and spider shapes (by walks along
+    the XORs) and a tree's 2-coloring and component count (by peeling leaves
+    toward vertex 0) read only that pass. Neighbour lists are built only by
+    adjacency(), for its callers and to color every graph that is not a tree.
     """
 
     _fields = ("n", "edges")
 
     def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+        if not _is_int(n):
+            raise ValueError(f"vertex count must be an integer, got {n!r}")
         if n < 1:
             raise ValueError("vertex count must be positive")
         check_vertex_count(n)
@@ -129,64 +128,43 @@ class Tree(Record):
         return deg, nx
 
     @cached_property
-    def _adj(self) -> tuple[tuple[int, ...], ...]:
-        adj: list = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(map(tuple, adj))
-
-    @cached_property
     def _coloring(self) -> tuple[bytes, int, bool]:
         """(colors, component count, bipartite?); the smallest vertex of each
         component gets color 0.
 
-        Leaves are peeled off one by one, each from its one remaining
-        neighbour's degree and XOR, so a peeled vertex keeps degree 1 and an
-        nx entry holding that neighbour, its parent; a vertex whose last
-        neighbour was peeled into it, left at degree 0, is its component's
-        root. A forest peels completely,
-        and its colors follow in reverse peel order. A graph with a cycle
-        keeps vertices of degree >= 2 and is colored by a traversal of _adj.
+        A graph with n - 1 edges is peeled from its leaves toward vertex 0:
+        each leaf but vertex 0 comes off its one remaining neighbour's degree
+        and XOR, so a peeled vertex keeps degree 1 and an nx entry holding
+        that neighbour, its parent. A vertex whose last neighbour was peeled
+        into it, left at degree 0, is a root and stays. If no vertex keeps
+        degree >= 2, vertex 0 was the only root: the graph is a tree, colored
+        in reverse peel order from color[0] = 0. Every other graph (a forest
+        of several trees, a graph with a cycle) is colored by one depth-first
+        traversal of adjacency() from each component's smallest vertex; the
+        colors clash across an odd cycle.
         """
         n = self.n
-        deg, nx = map(list, self._degxor)
-        order = list(_leaves(deg))
-        for v in order:  # order grows as vertices become leaves
-            if deg[v]:  # else v is a root
-                p = nx[v]
-                nx[p] ^= v
-                d = deg[p] = deg[p] - 1
-                if d == 1:
-                    order.append(p)
-        if max(deg) > 1:
-            return self._dfs_coloring()
-        color = bytearray(n)
-        for v in reversed(order):
-            if deg[v]:
-                color[v] = color[nx[v]] ^ 1
-        components = n - self.m
-        if components > 1:  # flip each component whose smallest vertex got 1
-            root = list(range(n))
-            for v in reversed(order):
-                if deg[v]:
-                    root[v] = root[nx[v]]
-            flip: dict[int, int] = {}
-            for v, r in enumerate(root):
-                flip.setdefault(r, color[v])
-            color = bytearray(c ^ flip[r] for c, r in zip(color, root))
-        elif color[0]:
-            color = color.translate(_SWAP_COLORS)
-        return bytes(color), components, True
-
-    def _dfs_coloring(self) -> tuple[bytes, int, bool]:
-        """_coloring by a depth-first traversal of _adj from each component's
-        smallest vertex; the colors clash across an odd cycle."""
-        adj = self._adj
-        color = bytearray(b"\x02") * self.n  # 2 = not yet reached
+        if self.m == n - 1:
+            deg, nx = map(list, self._degxor)
+            order = list(_leaves(deg))
+            for v in order:  # order grows as vertices become leaves
+                if v and deg[v]:  # else v is vertex 0 or a root
+                    p = nx[v]
+                    nx[p] ^= v
+                    d = deg[p] = deg[p] - 1
+                    if d == 1:
+                        order.append(p)
+            if max(deg) < 2:
+                color = bytearray(n)
+                for v in reversed(order):
+                    if v:
+                        color[v] = color[nx[v]] ^ 1
+                return bytes(color), 1, True
+        adj = self.adjacency()
+        color = bytearray(b"\x02") * n  # 2 = not yet reached
         components = 0
         bipartite = True
-        root = color.find(2)
+        root = 0
         while root != -1:
             components += 1
             color[root] = 0
@@ -213,8 +191,12 @@ class Tree(Record):
         return _spider_shape(self)
 
     def adjacency(self) -> list[list[int]]:
-        """Neighbor lists; a fresh copy the caller may modify."""
-        return [list(nbrs) for nbrs in self._adj]
+        """Neighbor lists, built afresh on each call; the caller may modify them."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return adj
 
     def degrees(self) -> list[int]:
         return list(self._degxor[0])

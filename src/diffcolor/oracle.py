@@ -111,7 +111,10 @@ def _deadline(started: float, timeout_ms: int | None) -> float | None:
         return None
     if timeout_ms < 0:
         raise ValueError(f"timeout_ms must be non-negative, got {timeout_ms}")
-    return started + timeout_ms / 1000.0
+    try:
+        return started + timeout_ms / 1000.0
+    except OverflowError:
+        raise ValueError("timeout_ms is too large to convert to a float") from None
 
 
 def decision_dc_at_least(t: Tree, d: int, *,

@@ -188,12 +188,12 @@ def reference_coloring(t):
 
 
 def reference_caterpillar_shape(t):
-    """The caterpillar recognizer as it was on adjacency lists (t._adj)."""
+    """The caterpillar recognizer as it was on adjacency lists."""
     if t.n == 1:
         return CaterpillarShape((0,), (0,), ((),))
     if t.n == 2:
         return CaterpillarShape((1,), (0,), ((1,),))
-    adj = t._adj
+    adj = t.adjacency()
     on_spine = [len(nbrs) >= 2 for nbrs in adj]
     is_spine = on_spine.__getitem__
     ends = []
@@ -220,8 +220,8 @@ def reference_caterpillar_shape(t):
 
 
 def reference_spider_shape(t):
-    """The spider recognizer as it was on adjacency lists (t._adj)."""
-    adj = t._adj
+    """The spider recognizer as it was on adjacency lists."""
+    adj = t.adjacency()
 
     def arm(prev: int, cur: int) -> tuple[int, ...]:
         """The vertices from cur away from prev, up to the first one whose

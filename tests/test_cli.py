@@ -201,6 +201,11 @@ class TestExact:
                                 "--timeout-ms", "-5"])
         assert code == 2 and "timeout_ms" in err and err.count("\n") == 1
 
+    def test_huge_timeout_exit_2(self):
+        code, _, err = capture(["exact", "--family", "spider", "--paths", "1,1",
+                                "--timeout-ms", "1" + "0" * 400])
+        assert code == 2 and err == "error: timeout_ms is too large to convert to a float\n"
+
     def test_negative_limit_exit_2(self):
         assert capture(["exact", "--family", "spider", "--paths", "1,1", "--limit-n", "-1"]) \
             == (2, "", "error: limit_n must be non-negative, got -1\n")

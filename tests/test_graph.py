@@ -11,8 +11,8 @@ from diffcolor import (MAX_N, CaterpillarShape, GraphParseError, NotATreeError,
                        recognize_spider, upper_bound_report, write_graph)
 from diffcolor.graph import _EdgeError, _parse_lines
 from helpers import (length_multisets, parse_outcome, partitions, path_graph,
-                     reference_caterpillar_shape, reference_spider_shape,
-                     small_peak)
+                     reference_caterpillar_shape, reference_coloring,
+                     reference_spider_shape, small_peak)
 
 
 class TestTree:
@@ -88,7 +88,7 @@ class TestTree:
         # answer must not cost an O(n) degree pass, adjacency or coloring.
         t = Tree(10**6, ())
         assert not t.is_connected()
-        assert not {"_degxor", "_adj", "_coloring"} & t.__dict__.keys()
+        assert not {"_degxor", "_coloring"} & t.__dict__.keys()
 
 
 class TestSizeLimit:
@@ -510,6 +510,34 @@ class TestBipartition:
         assert bipartition_sizes(c4) == (2, 2)
 
 
+class TestOneColoringRule:
+    """A graph with n - 1 edges is peeled toward vertex 0; a tree is colored
+    from that peel, every other graph by one traversal of adjacency()."""
+
+    @pytest.mark.parametrize("graph", [
+        Tree(1, ()),
+        _zero_swapped(gen_caterpillar([2, 0, 1, 3])[0], 9),
+        gen_spider([2, 3, 1])[0],
+        Tree(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5))),
+        Tree(9, ((5, 0), (5, 7), (8, 1), (3, 8), (2, 3))),
+        Tree(5, ((1, 2), (2, 3), (3, 4), (1, 4))),
+    ], ids=["single-vertex", "zero-leaf", "zero-center", "triangle-beside-path",
+            "forest", "zero-beside-cycle"])
+    def test_matches_the_reference(self, graph, monkeypatch):
+        colors, components, bipartite = reference_coloring(graph)
+        tree = components == 1 and graph.m == graph.n - 1
+        traversals = []
+        adjacency = Tree.adjacency
+        monkeypatch.setattr(Tree, "adjacency", lambda t: traversals.append(t) or adjacency(t))
+        got_colors, got_components, got_bipartite = graph._coloring
+        assert (got_components, got_bipartite) == (components, bipartite)
+        if bipartite:
+            assert list(got_colors) == colors
+        assert graph.is_forest() == (graph.m == graph.n - components)
+        assert graph.is_tree() == tree
+        assert len(traversals) == (not tree)
+
+
 class TestDerivedCache:
     def test_mutating_adjacency_does_not_leak(self):
         t, shape = gen_caterpillar([2, 0, 1])
@@ -526,17 +554,25 @@ class TestDerivedCache:
 
     @pytest.mark.parametrize("tree", [gen_random_caterpillar(random.Random(5), 30, 4)[0],
                                       gen_spider([4, 2, 6, 2])[0]], ids=["caterpillar", "spider"])
-    def test_tree_path_builds_no_adjacency(self, tree):
-        # label_auto, the bounds and mp_value read the degree/XOR pass only
+    def test_tree_path_builds_no_adjacency(self, tree, monkeypatch):
+        # parsing, label_auto, the bounds and mp_value read the degree/XOR pass only
         rng = random.Random(6)
         perm = rng.sample(range(tree.n), tree.n)
         edges = [(perm[u], perm[v]) for u, v in tree.edges]
         rng.shuffle(edges)
-        t = parse_graph(write_graph(Tree(tree.n, edges)))
+        text = write_graph(Tree(tree.n, edges))
+        calls = []
+
+        def refuse(t):
+            calls.append(t)
+            raise AssertionError("adjacency() called on the tree path")
+
+        monkeypatch.setattr(Tree, "adjacency", refuse)
+        t = parse_graph(text)
         label_auto(t)
         upper_bound_report(t)
         mp_value(t)
-        assert "_degxor" in t.__dict__ and "_adj" not in t.__dict__
+        assert not calls and "_degxor" in t.__dict__
 
     def test_caches_stay_out_of_eq_hash_repr(self):
         a, _ = gen_spider([2, 3, 3])

@@ -130,10 +130,11 @@ class TestLimits:
 
     def test_negative_timeout_rejected(self):
         t = path_graph(4)
-        with pytest.raises(ValueError, match="timeout_ms"):
-            exact_dc(t, timeout_ms=-5)
-        with pytest.raises(ValueError, match="timeout_ms"):
-            decision_dc_at_least(t, 1, timeout_ms=-5)
+        for timeout_ms in (-5, 10**400):  # 10**400 ms does not fit a float
+            with pytest.raises(ValueError, match="timeout_ms"):
+                exact_dc(t, timeout_ms=timeout_ms)
+            with pytest.raises(ValueError, match="timeout_ms"):
+                decision_dc_at_least(t, 1, timeout_ms=timeout_ms)
 
     def test_negative_limit_rejected(self):
         t = path_graph(3)

@@ -103,6 +103,8 @@ REJECTED = [
      "path lengths must be positive and match vertex lists"),
     (SpiderShape, ((1,), 0, ((2,),)), "ValueError",
      "shape vertices must be exactly 0..n-1"),
+    (Tree, (3.0, ((0, 1), (1, 2))), "ValueError", "vertex count must be an integer, got 3.0"),
+    (Tree, (True, ()), "ValueError", "vertex count must be an integer, got True"),
 ]
 
 
