@@ -42,6 +42,7 @@ def _add_family_flags(sp: argparse.ArgumentParser, positional: bool) -> None:
     if positional:
         sp.add_argument("family", choices=FAMILIES)
     else:
+        sp.add_argument("--in", dest="in_path")
         sp.add_argument("--family", choices=FAMILIES)
     sp.add_argument("--spine", type=int, help="spine length (max length for random-cat)")
     sp.add_argument("--legs", type=int, help="legs per spine vertex (max for random-cat)")
@@ -63,7 +64,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--out")
 
     p_label = sub.add_parser("label", help="run a labeling scheme")
-    p_label.add_argument("--in", dest="in_path")
     _add_family_flags(p_label, positional=False)
     p_label.add_argument("--scheme", choices=("auto", *SCHEMES), default="auto")
     p_label.add_argument("--format", choices=("json", "plain", "dot"), default="json")
@@ -76,13 +76,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--out")
 
     p_bound = sub.add_parser("bound", help="report upper bounds")
-    p_bound.add_argument("--in", dest="in_path")
     _add_family_flags(p_bound, positional=False)
     p_bound.add_argument("--format", choices=("json", "plain"), default="json")
     p_bound.add_argument("--out")
 
     p_exact = sub.add_parser("exact", help="exact maximum differential value")
-    p_exact.add_argument("--in", dest="in_path")
     _add_family_flags(p_exact, positional=False)
     p_exact.add_argument("--limit-n", type=int, default=DEFAULT_LIMIT_N)
     p_exact.add_argument("--timeout-ms", type=int)
@@ -91,12 +89,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare-mp",
                            help="bipartition-scheme value vs general caterpillar scheme")
-    p_cmp.add_argument("--in", dest="in_path")
     _add_family_flags(p_cmp, positional=False)
     p_cmp.add_argument("--out")
 
     p_exp = sub.add_parser("export", help="DOT export, optionally annotated with labels")
-    p_exp.add_argument("--in", dest="in_path")
     _add_family_flags(p_exp, positional=False)
     p_exp.add_argument("--labeling")
     p_exp.add_argument("--scheme", choices=("auto", *SCHEMES))

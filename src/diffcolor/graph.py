@@ -420,31 +420,17 @@ class SpiderShape(_Shape):
 
     @cached_property
     def level_counts(self) -> tuple[int, ...]:
-        """Entry l is level_count(l) for l in 0..max_level; one pass over the
-        paths plus one suffix sum over the levels."""
+        """Entry l counts the vertices at level l, the center alone at 0; one
+        pass over the paths plus one suffix sum over the levels."""
         ending = [0] * (max(self.path_lengths) + 1)
         for length in self.path_lengths:
             ending[length] += 1
         reaching = tuple(accumulate(reversed(ending)))[::-1]
         return (1, *reaching[1:])  # level 0 is the center alone
 
-    def level_count(self, level: int) -> int:
-        """Number of vertices at the given level (paths long enough to reach
-        it for level >= 1, the center at level 0, none below)."""
-        counts = self.level_counts
-        return counts[level] if 0 <= level < len(counts) else 0
-
-    @property
-    def max_level(self) -> int:
-        return len(self.level_counts) - 1
-
     @property
     def n_even(self) -> int:
         return sum(self.level_counts[2::2])
-
-    @property
-    def n_odd(self) -> int:
-        return sum(self.level_counts[1::2])
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -555,6 +541,14 @@ def _spider_shape(t: Tree) -> SpiderShape | None:
     return SpiderShape(tuple(map(len, arms)), center, tuple(arms))
 
 
+def _ints(what: str, *xs) -> tuple[int, ...]:
+    """xs as a tuple, or a ValueError naming what if one is not an integer."""
+    for x in xs:
+        if not _is_int(x):
+            raise ValueError(f"expected integer {what}, got {x!r}")
+    return xs
+
+
 def _id_blocks(start: int, sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """Consecutive vertex-id blocks of the given sizes, the first at start."""
     bounds = tuple(accumulate(sizes, initial=start))
@@ -564,9 +558,9 @@ def _id_blocks(start: int, sizes: tuple[int, ...]) -> tuple[tuple[int, ...], ...
 
 def gen_regular_caterpillar(s: int, delta: int) -> tuple[Tree, CaterpillarShape]:
     """Caterpillar with s spine vertices, each carrying exactly delta legs."""
-    if s < 1:
+    if _ints("spine length", s)[0] < 1:
         raise ValueError("spine length must be positive")
-    if delta < 1:
+    if _ints("leg count", delta)[0] < 1:
         raise ValueError("leg count must be positive")
     check_vertex_count(s * (delta + 1))
     return gen_caterpillar([delta] * s)
@@ -578,7 +572,7 @@ def gen_caterpillar(leg_counts) -> tuple[Tree, CaterpillarShape]:
 
     Spine vertices are 0..s-1 in path order; legs follow in spine order.
     """
-    counts = tuple(int(c) for c in leg_counts)
+    counts = _ints("leg counts", *leg_counts)
     if not counts:
         raise ValueError("leg counts must be non-empty")
     if any(c < 0 for c in counts):
@@ -594,7 +588,7 @@ def gen_spider(path_lengths) -> tuple[Tree, SpiderShape]:
     """Spider with the given path lengths; center is vertex 0, paths follow
     in input order. A radius-k star is gen_spider([k] * p).
     """
-    lengths = tuple(int(x) for x in path_lengths)
+    lengths = _ints("path lengths", *path_lengths)
     if not lengths:
         raise ValueError("path lengths must be non-empty")
     if any(x < 1 for x in lengths):
@@ -608,7 +602,7 @@ def gen_random_caterpillar(rng: random.Random, max_spine: int = 30,
     """Random canonical caterpillar: spine length in 1..max_spine, interior
     leg counts in 0..max_legs, endpoint leg counts in 1..max_legs.
     """
-    if max_spine < 1 or max_legs < 1:
+    if min(_ints("max_spine and max_legs", max_spine, max_legs)) < 1:
         raise ValueError("bounds must be positive")
     check_vertex_count(max_spine * (max_legs + 1))  # the largest caterpillar it can draw
     s = rng.randint(1, max_spine)

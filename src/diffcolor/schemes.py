@@ -9,15 +9,16 @@ Four schemes are provided:
   label_general_caterpillar  any caterpillar; guarantees value >= ceil(n/2)-delta-2.
 
 SCHEMES lists them in label_auto's order of preference, each with the shape
-class it labels, that class's recognizer and the scheme's draft: a function
-from the shape to (labels, guarantee, expected value or None, optimality).
+class it labels, that class's recognizer, the scheme's draft (a function from
+the shape to its labels and guarantee) and its optimality: "proved" when the
+guarantee is the proved optimum, "unknown" when it is only a lower bound.
 A draft's own guard is the only statement of when its scheme applies: it
 raises NotApplicable (a ValueError) with the reason. run_scheme(t, name)
 recognizes the shape and runs one row; label_auto runs the first row that
 applies and otherwise names every row's reason.
 
 Every result is checked by _finish before it is returned: the labels must be
-a bijection onto 1..n, reach the expected value and meet the guarantee.
+a bijection onto 1..n and reach the guarantee, exactly for a proved scheme.
 run_scheme checks them on the edges of the Tree it was given; the four
 label_* functions, which take a shape, check them on the shape's edges.
 
@@ -29,7 +30,6 @@ All schemes are deterministic: identical shapes yield identical labelings.
 
 from __future__ import annotations
 
-import enum
 from itertools import accumulate
 
 from ._record import Record
@@ -46,16 +46,11 @@ class NotApplicable(ValueError):
     """The input is outside the class a scheme labels; the message says why."""
 
 
-class Optimality(enum.Enum):
-    PROVED = "proved"
-    NOT_PROVED = "unknown"
-
-
 class SchemeResult(Record):
     _fields = ("scheme", "labeling", "guarantee", "optimal")
 
     def __init__(self, scheme: str, labeling: EvaluatedLabeling, guarantee: int,
-                 optimal: Optimality):
+                 optimal: str):
         super().__init__(scheme, labeling, guarantee, optimal)
 
     @property
@@ -68,28 +63,28 @@ class SchemeResult(Record):
             "labels": list(self.labeling.labeling.labels),
             "value": self.value,
             "guarantee": self.guarantee,
-            "optimal": self.optimal.value,
+            "optimal": self.optimal,
         }
 
 
-def _finish(scheme: str, graph: Graph, labels: list[int], guarantee: int,
-            expected_value: int | None, optimal: Optimality) -> SchemeResult:
-    """Evaluate a draft's labels on graph, the input Tree or the shape they
+def _finish(scheme: str, graph: Graph, labels: list[int], guarantee: int) -> SchemeResult:
+    """Evaluate scheme's labels on graph, the input Tree or the shape they
     label (the two have the same edge set); a vertex left at 0 is not a
-    bijection."""
+    bijection. A proved scheme must reach its guarantee exactly."""
+    optimal = SCHEMES[scheme][3]
     labeling = Labeling(tuple(labels))
     try:
         value = differential_value(graph, labeling)
     except ValueError as exc:
         raise SchemeError(f"{scheme}: non-bijective output: {exc}") from exc
-    if expected_value is not None and value != expected_value:
-        raise SchemeError(f"{scheme}: achieved {value}, expected {expected_value}")
+    if optimal == "proved" and value != guarantee:
+        raise SchemeError(f"{scheme}: achieved {value}, expected {guarantee}")
     if value < guarantee:
         raise SchemeError(f"{scheme}: achieved {value}, below guarantee {guarantee}")
     return SchemeResult(scheme, EvaluatedLabeling(labeling, value), guarantee, optimal)
 
 
-Draft = tuple[list[int], int, int | None, Optimality]  # what _finish checks
+Draft = tuple[list[int], int]  # labels and guarantee, what _finish checks
 
 
 def label_regular_caterpillar(shape: CaterpillarShape) -> SchemeResult:
@@ -125,7 +120,7 @@ def _regular_cat(shape: CaterpillarShape) -> Draft:
             base = k + (i - 1) * delta + s % 2
         for j, leg in enumerate(shape.leg_vertices[idx], start=1):
             labels[leg] = base + j
-    return labels, target, target, Optimality.PROVED
+    return labels, target
 
 
 def _prefix_sums(xs) -> list[int]:
@@ -162,7 +157,7 @@ def _spider_even(shape: SpiderShape) -> Draft:
                 labels[v] = 1 + evens[level // 2 - 1] + rank
             else:
                 labels[v] = n_even + 1 + odds[(level - 1) // 2] + rank
-    return labels, n_even, n_even, Optimality.PROVED
+    return labels, n_even
 
 
 def label_spider_all_odd(shape: SpiderShape) -> SchemeResult:
@@ -209,7 +204,7 @@ def _spider_odd(shape: SpiderShape) -> Draft:
                     labels[v] = ceil_half + even_floor[i - 1] + q
                 else:
                     labels[v] = ceil_half - even_ceil[i] + q - 1
-    return labels, n_even + 1, n_even + 1, Optimality.PROVED
+    return labels, n_even + 1
 
 
 class MarkingState(Record):
@@ -256,18 +251,16 @@ def mark_caterpillar(shape: CaterpillarShape) -> MarkingState:
     # Alternate sides along the spine, then scan right to left for the vertex
     # whose removal balances the two sides (its legs fill the remainder).
     low_side = [i % 2 == 0 for i in range(s)]
+    # The high side holds the other n - lows vertices.
     lows = sum(1 if low_side[i] else counts[i] for i in range(s))
-    highs = sum(counts[i] if low_side[i] else 1 for i in range(s))
     mid = -1
     for i in range(s - 1, -1, -1):
         excl_lows = lows - (1 if low_side[i] else counts[i])
-        excl_highs = highs - (counts[i] if low_side[i] else 1)
-        if 2 * excl_lows < n and 2 * excl_highs <= n:
+        if 2 * excl_lows < n and 2 * (n - 1 - counts[i] - excl_lows) <= n:
             mid = i
             break
         low_side[i] = not low_side[i]
         lows = excl_lows + (1 if low_side[i] else counts[i])
-        highs = excl_highs + (counts[i] if low_side[i] else 1)
     if mid == -1:
         raise SchemeError("balance condition never achieved along the spine")
 
@@ -380,7 +373,7 @@ def _general_cat(shape: CaterpillarShape) -> Draft:
                 labels[v] = value
                 value += step
 
-    return labels, ceil_half - shape.delta - 2, None, Optimality.NOT_PROVED
+    return labels, ceil_half - shape.delta - 2
 
 
 def mp_value(t: Tree) -> int:
@@ -392,19 +385,19 @@ def mp_value(t: Tree) -> int:
     return bipartition_sizes(t)[1]
 
 
-# name: (shape class, its recognizer, scheme draft), in label_auto's order
+# name: (shape class, its recognizer, scheme draft, optimality), in label_auto's order
 SCHEMES = {
-    "regular-cat": ("caterpillar", recognize_caterpillar, _regular_cat),
-    "spider-even": ("spider", recognize_spider, _spider_even),
-    "spider-odd": ("spider", recognize_spider, _spider_odd),
-    "general-cat": ("caterpillar", recognize_caterpillar, _general_cat),
+    "regular-cat": ("caterpillar", recognize_caterpillar, _regular_cat, "proved"),
+    "spider-even": ("spider", recognize_spider, _spider_even, "proved"),
+    "spider-odd": ("spider", recognize_spider, _spider_odd, "proved"),
+    "general-cat": ("caterpillar", recognize_caterpillar, _general_cat, "unknown"),
 }
 
 
 def run_scheme(t: Tree, name: str) -> SchemeResult:
     """Label t with the named scheme, checked on t's own edges;
     NotApplicable says why it cannot."""
-    shape_class, recognize, draft = SCHEMES[name]
+    shape_class, recognize, draft, _ = SCHEMES[name]
     shape = recognize(t)
     if shape is None:
         raise NotApplicable(f"input is not a {shape_class}")

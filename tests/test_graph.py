@@ -1,4 +1,5 @@
 import random
+import re
 import sys
 
 import pytest
@@ -390,7 +391,7 @@ class TestGenerators:
         t, shape = gen_spider([2, 2, 2])
         assert t.n == 7
         t, shape = gen_spider([3, 3])
-        assert t.n == 7 and shape.n_even == 2 and shape.n_odd == 4
+        assert t.n == 7 and shape.n_even == 2 and shape.level_counts == (1, 2, 2, 2)
 
     def test_spider_rejects_bad_lengths(self):
         with pytest.raises(ValueError):
@@ -406,6 +407,23 @@ class TestGenerators:
             assert t.n == shape.n
 
 
+@pytest.mark.parametrize("call, what, bad", [
+    (lambda: gen_caterpillar([1.7, 2]), "leg counts", 1.7),
+    (lambda: gen_caterpillar(["1", "2"]), "leg counts", "1"),
+    (lambda: gen_regular_caterpillar(2, 1.5), "leg count", 1.5),
+    (lambda: gen_regular_caterpillar(2.5, 1), "spine length", 2.5),
+    (lambda: gen_spider([2.9]), "path lengths", 2.9),
+    (lambda: gen_spider([True, True]), "path lengths", True),
+    (lambda: gen_random_caterpillar(random.Random(1), 3.5, 2), "max_spine and max_legs", 3.5),
+], ids=["float-legs", "str-legs", "float-delta", "float-spine", "float-path", "bool-path",
+        "float-max-spine"])
+def test_generators_reject_non_integers(call, what, bad):
+    """Generators take integers by Tree's rule (bools are not) and name the
+    argument they reject instead of truncating or failing further in."""
+    with pytest.raises(ValueError, match=f"^expected integer {what}, got {re.escape(repr(bad))}$"):
+        call()
+
+
 class TestShapeInvariants:
     def test_spider_counting_identities_exhaustive(self):
         # n = N_e + N_o + 1 and N_o - N_e <= p for every shape with n <= 12
@@ -413,14 +431,13 @@ class TestShapeInvariants:
         for total in range(1, 12):
             for lengths in partitions(total):
                 _, shape = gen_spider(lengths)
-                assert shape.n == shape.n_even + shape.n_odd + 1
-                assert shape.n_odd - shape.n_even <= shape.p
-                for level in range(-1, shape.max_level + 2):
-                    expected = int(level == 0) if level <= 0 else sum(
-                        1 for x in lengths if x >= level)
-                    assert shape.level_count(level) == expected
-                    if 0 <= level <= shape.max_level:
-                        assert shape.level_counts[level] == expected
+                counts = shape.level_counts
+                n_odd = sum(counts[1::2])
+                assert shape.n == shape.n_even + n_odd + 1
+                assert n_odd - shape.n_even <= shape.p
+                assert len(counts) == max(lengths) + 1
+                for level, count in enumerate(counts):
+                    assert count == (1 if level == 0 else sum(1 for x in lengths if x >= level))
                 checked += 1
         assert checked > 100
 

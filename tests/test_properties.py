@@ -159,7 +159,7 @@ def test_shapes_schemes_and_bounds_agree(tree, seed):
 def test_run_scheme_matches_the_direct_call(tree):
     """Each applicable scheme gives the same result checked on the input tree
     (run_scheme) as checked on the recognized shape (the public label_*)."""
-    for name, (_, recognize, _) in SCHEMES.items():
+    for name, (_, recognize, _, _) in SCHEMES.items():
         shape = recognize(tree)
         try:
             direct = None if shape is None else LABEL_SHAPE[name](shape)

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from diffcolor import (CaterpillarShape, MarkingState, NotApplicable,
-                       NotATreeError, Optimality, SchemeError, SpiderShape,
+                       NotATreeError, SchemeError, SpiderShape,
                        Tree, differential_value, gen_caterpillar,
                        gen_random_caterpillar, gen_regular_caterpillar,
                        gen_spider, label_auto,
@@ -30,7 +30,7 @@ class TestRegularCaterpillar:
         # spine (1, 6); legs of the low spine vertex {4,5}, of the high {2,3}
         assert labels_of(r) == (1, 6, 4, 5, 2, 3)
         assert r.value == 3 and r.guarantee == 3
-        assert r.optimal is Optimality.PROVED
+        assert r.optimal == "proved"
 
     def test_odd_spine_3_1(self):
         _, shape = gen_regular_caterpillar(3, 1)
@@ -95,7 +95,7 @@ class TestSpiderAllEven:
             tree, shape = gen_spider(lengths)
             r = label_spider_all_even(shape)
             assert r.value == shape.n_even == r.guarantee
-            assert r.optimal is Optimality.PROVED
+            assert r.optimal == "proved"
             assert r.value == tree.n // 2  # all-even spiders meet the general bound
 
 
@@ -141,7 +141,7 @@ class TestGeneralCaterpillar:
         assert labels_of(r) == (2, 7, 1, 4, 6, 3, 5, 8)
         assert r.value == 3
         assert r.guarantee == 1  # ceil(8/2) - 1 - 2
-        assert r.optimal is Optimality.NOT_PROVED
+        assert r.optimal == "unknown"
 
     def test_pseudo_leg_path(self):
         _, shape = gen_caterpillar([1, 0, 1])
@@ -309,7 +309,7 @@ class TestLabelAuto:
     def test_p5_goes_to_even_spider(self):
         r = label_auto(path_graph(5))
         assert r.scheme == "spider-even"
-        assert r.optimal is Optimality.PROVED and r.value == 2
+        assert r.optimal == "proved" and r.value == 2
 
     def test_p7_goes_to_odd_spider(self):
         r = label_auto(path_graph(7))
@@ -352,36 +352,38 @@ class TestFinishSelfCheck:
 
     @staticmethod
     def scheme_output(kind):
-        """A shape, its scheme's labels as a list, and their value."""
+        """A shape, its proved scheme's name, that scheme's labels as a list,
+        and their value."""
         if kind == "caterpillar":
             _, shape = gen_regular_caterpillar(3, 2)
             result = label_regular_caterpillar(shape)
         else:
             _, shape = gen_spider([2, 2, 4])
             result = label_spider_all_even(shape)
-        return shape, list(labels_of(result)), result.value
+        return shape, result.scheme, list(labels_of(result)), result.value
 
     def test_unassigned_vertex(self, kind):
-        shape, labels, _ = self.scheme_output(kind)
+        shape, scheme, labels, value = self.scheme_output(kind)
         labels[-1] = 0
         with pytest.raises(SchemeError, match="non-bijective.*out of range"):
-            _finish("t", shape, labels, 1, None, Optimality.PROVED)
+            _finish(scheme, shape, labels, value)
 
     def test_repeated_label(self, kind):
-        shape, labels, _ = self.scheme_output(kind)
+        shape, scheme, labels, value = self.scheme_output(kind)
         labels[1] = labels[0]
         with pytest.raises(SchemeError, match="non-bijective.*duplicate"):
-            _finish("t", shape, labels, 1, None, Optimality.PROVED)
+            _finish(scheme, shape, labels, value)
 
     def test_value_differs_from_expected(self, kind):
-        shape, labels, value = self.scheme_output(kind)
-        with pytest.raises(SchemeError, match=f"achieved {value}, expected {value + 1}"):
-            _finish("t", shape, labels, 1, value + 1, Optimality.PROVED)
+        # a proved scheme must reach its guarantee exactly, not exceed it
+        shape, scheme, labels, value = self.scheme_output(kind)
+        with pytest.raises(SchemeError, match=f"achieved {value}, expected {value - 1}"):
+            _finish(scheme, shape, labels, value - 1)
 
     def test_value_below_guarantee(self, kind):
-        shape, labels, value = self.scheme_output(kind)
+        shape, _, labels, value = self.scheme_output(kind)
         with pytest.raises(SchemeError, match=f"below guarantee {value + 1}"):
-            _finish("t", shape, labels, value + 1, None, Optimality.NOT_PROVED)
+            _finish("general-cat", shape, labels, value + 1)
 
 
 SCHEME_IDS = ["regular-cat", "spider-even", "spider-odd", "general-cat"]
@@ -431,7 +433,7 @@ def test_run_scheme_builds_no_shape_edges(monkeypatch, scheme, tree):
 def test_swapped_labels_raise_scheme_error(monkeypatch, scheme, tree):
     """A draft that swaps two labels, so that an edge's labels differ by 1, is
     trapped by _finish through run_scheme and through the public call."""
-    shape_class, recognize, draft = SCHEMES[scheme]
+    shape_class, recognize, draft, optimal = SCHEMES[scheme]
     u, v = tree.edges[0]
 
     def swapped(shape):
@@ -441,7 +443,7 @@ def test_swapped_labels_raise_scheme_error(monkeypatch, scheme, tree):
         labels[v], labels[w] = labels[w], labels[v]
         return labels, *rest
 
-    monkeypatch.setitem(SCHEMES, scheme, (shape_class, recognize, swapped))
+    monkeypatch.setitem(SCHEMES, scheme, (shape_class, recognize, swapped, optimal))
     monkeypatch.setattr(schemes, draft.__name__, swapped)
     with pytest.raises(SchemeError, match=f"^{scheme}: achieved 1, "):
         run_scheme(tree, scheme)
