@@ -223,8 +223,9 @@ _NOT_EDGE_LINE = re.compile(r"\n(?!e [0-9]+ [0-9]+\n|\Z)")
 
 def parse_graph(text: str) -> Tree:
     """Parse the graph file format: comments "c ...", one header "p <n> <m>",
-    then m edge lines "e <u> <v>" with 1-based endpoints. Empty lines are
-    skipped like comments; a line of spaces is malformed.
+    then m edge lines "e <u> <v>" with 1-based endpoints. A line ends at
+    "\n", "\r\n" or "\r", so a comment may hold any other character. Empty
+    lines are skipped like comments; a line of spaces is malformed.
 
     Raises GraphParseError (with line number) on any format violation; the
     edge rules themselves (range, self-loop, duplicate) are Tree's.
@@ -271,7 +272,7 @@ def _parse_lines(text: str) -> Tree:
     n = m = None
     header_line = 0
     edges: list[tuple[int, int]] = []
-    lines = text.splitlines()
+    lines = re.split(r"\r\n|\r|\n", text)
     for line_no, line in enumerate(lines, start=1):
         fields = line.split(" ")
         if fields[0] == "c" or not line:  # "c" alone, "c ...", or an empty line

@@ -12,6 +12,8 @@ SCHEMES lists them in label_auto's order of preference, each with the shape
 class it labels, that class's recognizer, the scheme's draft (a function from
 the shape to its labels and guarantee) and its optimality: "proved" when the
 guarantee is the proved optimum, "unknown" when it is only a lower bound.
+A draft lists the vertices in label order, and _number gives the k-th vertex
+of that list the number k.
 A draft's own guard is the only statement of when its scheme applies: it
 raises NotApplicable (a ValueError) with the reason. run_scheme(t, name)
 recognizes the shape and runs one row; label_auto runs the first row that
@@ -30,7 +32,7 @@ All schemes are deterministic: identical shapes yield identical labelings.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import chain
 
 from ._record import Record
 from .graph import (CaterpillarShape, SpiderShape, Tree, bipartition_sizes,
@@ -87,6 +89,15 @@ def _finish(scheme: str, graph: Graph, labels: list[int], guarantee: int) -> Sch
 Draft = tuple[list[int], int]  # labels and guarantee, what _finish checks
 
 
+def _number(n: int, order) -> list[int]:
+    """Labels that give the k-th vertex of order the number k. A vertex that
+    order omits keeps 0, which _finish rejects as non-bijective."""
+    labels = [0] * n
+    for k, v in enumerate(order, start=1):
+        labels[v] = k
+    return labels
+
+
 def label_regular_caterpillar(shape: CaterpillarShape) -> SchemeResult:
     """Optimal labeling for a regular caterpillar.
 
@@ -104,33 +115,23 @@ def _regular_cat(shape: CaterpillarShape) -> Draft:
     delta = shape.delta
     if delta < 1:
         raise NotApplicable("regular caterpillar scheme needs at least one leg per spine vertex")
-    s, n = shape.s, shape.n
-    k = s // 2
-    target = n // 2 if s % 2 == 0 else (n - delta + 1) // 2
-    labels = [0] * n
-    for idx in range(s):
-        pos = idx + 1
-        if pos % 2 == 1:
-            i = (pos + 1) // 2
-            labels[shape.spine_vertices[idx]] = i
-            base = target + (i - 1) * delta
-        else:
-            i = pos // 2
-            labels[shape.spine_vertices[idx]] = n - k + i
-            base = k + (i - 1) * delta + s % 2
-        for j, leg in enumerate(shape.leg_vertices[idx], start=1):
-            labels[leg] = base + j
-    return labels, target
+    n, spine, legs = shape.n, shape.spine_vertices, shape.leg_vertices
+    order = chain(spine[::2], *legs[1::2], *legs[::2], spine[1::2])
+    return _number(n, order), n // 2 if shape.s % 2 == 0 else (n - delta + 1) // 2
 
 
-def _prefix_sums(xs) -> list[int]:
-    """[0, x0, x0 + x1, ...]: entry i is the sum of the first i items."""
-    return list(accumulate(xs, initial=0))
-
-
-def _sorted_path_order(shape: SpiderShape) -> list[int]:
-    """Path indices by non-increasing length, stable on ties."""
-    return sorted(range(shape.p), key=lambda i: (-shape.path_lengths[i], i))
+def _levels(paths: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Entry l - 1 holds the level-l vertices of paths in path order; so
+    entries [::2] are the odd levels and [1::2] the even ones. The paths are
+    sorted by non-increasing length (a reverse sort keeps ties in input
+    order), and each band of levels that the same paths reach is one zip of
+    their slices: linear work in n."""
+    ends = [*map(len, paths), 0]
+    levels = []
+    for count in range(len(paths), 0, -1):  # levels reached by exactly count paths
+        if ends[count] < ends[count - 1]:
+            levels += zip(*(path[ends[count]:ends[count - 1]] for path in paths[:count]))
+    return levels
 
 
 def label_spider_all_even(shape: SpiderShape) -> SchemeResult:
@@ -146,18 +147,9 @@ def label_spider_all_even(shape: SpiderShape) -> SchemeResult:
 def _spider_even(shape: SpiderShape) -> Draft:
     if any(length % 2 for length in shape.path_lengths):
         raise NotApplicable("all path lengths must be even")
-    n_even = shape.n_even
-    evens = _prefix_sums(shape.level_counts[2::2])
-    odds = _prefix_sums(shape.level_counts[1::2])
-    labels = [0] * shape.n
-    labels[shape.center] = 1
-    for rank, pi in enumerate(_sorted_path_order(shape), start=1):
-        for level, v in enumerate(shape.path_vertices[pi], start=1):
-            if level % 2 == 0:
-                labels[v] = 1 + evens[level // 2 - 1] + rank
-            else:
-                labels[v] = n_even + 1 + odds[(level - 1) // 2] + rank
-    return labels, n_even
+    levels = _levels(sorted(shape.path_vertices, key=len, reverse=True))
+    order = chain((shape.center,), *levels[1::2], *levels[::2])
+    return _number(shape.n, order), shape.n_even
 
 
 def label_spider_all_odd(shape: SpiderShape) -> SchemeResult:
@@ -176,35 +168,11 @@ def label_spider_all_odd(shape: SpiderShape) -> SchemeResult:
 def _spider_odd(shape: SpiderShape) -> Draft:
     if any(length % 2 == 0 for length in shape.path_lengths):
         raise NotApplicable("all path lengths must be odd")
-    n = shape.n
-    n_even = shape.n_even
-    ceil_half = (n + 1) // 2
-    odds = shape.level_counts[1::2]
-    evens = shape.level_counts[2::2]
-    odd_floor = _prefix_sums(x // 2 for x in odds)
-    odd_ceil = _prefix_sums((x + 1) // 2 for x in odds)
-    even_floor = _prefix_sums(x // 2 for x in evens)
-    even_ceil = _prefix_sums((x + 1) // 2 for x in evens)
-
-    labels = [0] * n
-    labels[shape.center] = ceil_half
-    for rank, pi in enumerate(_sorted_path_order(shape), start=1):
-        inner = rank % 2 == 0
-        q = rank // 2 if inner else (rank + 1) // 2
-        for level, v in enumerate(shape.path_vertices[pi], start=1):
-            if level % 2 == 1:
-                i = (level + 1) // 2
-                if inner:
-                    labels[v] = odd_floor[i - 1] + q
-                else:
-                    labels[v] = n - odd_ceil[i] + q
-            else:
-                i = level // 2
-                if inner:
-                    labels[v] = ceil_half + even_floor[i - 1] + q
-                else:
-                    labels[v] = ceil_half - even_ceil[i] + q - 1
-    return labels, n_even + 1
+    paths = sorted(shape.path_vertices, key=len, reverse=True)
+    inner, outer = _levels(paths[1::2]), _levels(paths[::2])
+    order = chain(*inner[::2], *reversed(outer[1::2]), (shape.center,),
+                  *inner[1::2], *reversed(outer[::2]))
+    return _number(shape.n, order), shape.n_even + 1
 
 
 class MarkingState(Record):
@@ -323,21 +291,12 @@ def label_general_caterpillar(shape: CaterpillarShape) -> SchemeResult:
 def _general_cat(shape: CaterpillarShape) -> Draft:
     if shape.n < 2:
         raise NotApplicable("general caterpillar scheme needs n >= 2")
-    n, s = shape.n, shape.s
-    spine = shape.spine_vertices
+    s = shape.s
+    spine, legs = shape.spine_vertices, shape.leg_vertices
     state = mark_caterpillar(shape)
     # A spine vertex other than the middle one that is in neither group is a pseudo-leg.
     low, high = state.low_spine, state.high_spine
     mid = spine.index(state.middle)
-    ceil_half = (n + 1) // 2
-
-    labels = [0] * n
-    labels[state.middle] = ceil_half
-    lm, hm = len(state.middle_low_legs), len(state.middle_high_legs)
-    for idx, v in enumerate(state.middle_low_legs):
-        labels[v] = 1 + idx
-    for idx, v in enumerate(state.middle_high_legs):
-        labels[v] = n - hm + 1 + idx
 
     # Walk the spine cyclically away from the middle vertex, oriented so its
     # low spine neighbor is the walk's first vertex and its high neighbor the
@@ -356,24 +315,17 @@ def _general_cat(shape: CaterpillarShape) -> Draft:
         walk = [*range(mid + 1, s), *range(mid)]
     low_owners = [j for j in walk if spine[j] in low]
     high_owners = [j for j in walk if spine[j] in high]
-    for value, j in enumerate(low_owners, start=lm + 1):
-        labels[spine[j]] = value
-    for value, j in enumerate(high_owners, start=n - hm - len(high) + 1):
-        labels[spine[j]] = value
 
     # owner -> the pseudo-leg that left the spine for it (each owns at most one)
     pseudo_legs = {o: (v,) for v, o in state.pseudo_leg_owner if v not in low and v not in high}
-
     # Legs fill the mid-range outward from ceil(n/2), grouped by owner: low
     # owners' legs upward in walk order, high owners' downward in reverse.
-    for owners, value, step in ((low_owners, ceil_half + 1, 1),
-                                (reversed(high_owners), ceil_half - 1, -1)):
-        for j in owners:
-            for v in (*shape.leg_vertices[j], *pseudo_legs.get(spine[j], ())):
-                labels[v] = value
-                value += step
-
-    return labels, ceil_half - shape.delta - 2
+    low_legs, high_legs = ([v for j in owners for v in (*legs[j], *pseudo_legs.get(spine[j], ()))]
+                           for owners in (low_owners, reversed(high_owners)))
+    order = chain(state.middle_low_legs, (spine[j] for j in low_owners), reversed(high_legs),
+                  (state.middle,), low_legs, (spine[j] for j in high_owners),
+                  state.middle_high_legs)
+    return _number(shape.n, order), (shape.n + 1) // 2 - shape.delta - 2
 
 
 def mp_value(t: Tree) -> int:

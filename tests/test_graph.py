@@ -125,6 +125,14 @@ class TestParseGraph:
         t = parse_graph("c generated\np 2 1\nc mid comment\ne 1 2\n")
         assert t.n == 2
 
+    @pytest.mark.parametrize("char", ["\x0c", "\x85", "\u2028"],
+                             ids=["form-feed", "next-line", "line-separator"])
+    def test_comment_holds_any_character_but_a_line_end(self, char):
+        text = "p 2 1\ne 1 2\n"
+        assert repr(parse_graph(f"c page{char}break\n{text}")) == repr(parse_graph(text))
+        with pytest.raises(GraphParseError, match="^line 3: self-loop: 'e 1 1'$"):
+            parse_graph(f"c x{char}y\np 2 1\ne 1 1\n")
+
     def test_malformed_header(self):
         with pytest.raises(GraphParseError, match="line 1"):
             parse_graph("p 2\ne 1 2\n")

@@ -1,8 +1,10 @@
 """Hypothesis properties of recognition, evaluation, the schemes and the
 graph file format on caterpillars and spiders (n <= 200) with randomly
 permuted vertex ids; of the coloring and component count on random trees,
-forests and graphs with one cycle; and of both recognizers against their
-adjacency-list reference on trees up to n ~ 2000."""
+forests and graphs with one cycle; of both recognizers against their
+adjacency-list reference on trees up to n ~ 2000; and of every applicable
+scheme against its guarantee and the best bound on caterpillars and
+parity-uniform spiders up to n ~ 4000."""
 
 import random
 
@@ -12,10 +14,10 @@ from hypothesis import strategies as st
 
 from diffcolor import (SCHEMES, Labeling, NotApplicable, Tree,
                        bipartition_sizes, differential_value, gen_caterpillar,
-                       gen_spider, label_auto, label_general_caterpillar,
-                       mark_caterpillar, parse_graph, recognize_caterpillar,
-                       recognize_spider, run_scheme, upper_bound_report,
-                       write_graph)
+                       gen_regular_caterpillar, gen_spider, label_auto,
+                       label_general_caterpillar, mark_caterpillar, parse_graph,
+                       recognize_caterpillar, recognize_spider, run_scheme,
+                       upper_bound_report, write_graph)
 from diffcolor.graph import _parse_lines
 from helpers import (LABEL_SHAPE, parse_outcome, pruefer_to_edges,
                      reference_caterpillar_shape, reference_coloring,
@@ -138,6 +140,40 @@ def large_spiders(draw):
 def test_recognizers_match_the_adjacency_reference(tree):
     assert recognize_caterpillar(tree) == reference_caterpillar_shape(tree)
     assert recognize_spider(tree) == reference_spider_shape(tree)
+
+
+@st.composite
+def large_regular_caterpillars(draw):
+    return gen_regular_caterpillar(draw(st.integers(1, 300)), draw(st.integers(1, 8)))[0]
+
+
+@st.composite
+def large_parity_uniform_spiders(draw):
+    rng = random.Random(draw(seeds))
+    parity = draw(st.integers(1, 2))
+    max_half = draw(st.integers(0, 49))  # lengths up to 99 (odd) or 100 (even)
+    return gen_spider([2 * rng.randint(0, max_half) + parity
+                       for _ in range(draw(st.integers(1, 40)))])[0]
+
+
+@given(relabeled(large_caterpillars() | large_regular_caterpillars()
+                 | large_parity_uniform_spiders()))
+def test_large_schemes_land_in_their_bracket(tree):
+    """Every applicable scheme lands between its guarantee and the best bound,
+    and a proved scheme reaches the best bound: the paper's optimality claims
+    at sizes where the oracle cannot check them."""
+    best = upper_bound_report(tree).best
+    applied = 0
+    for name, (_, _, _, optimality) in SCHEMES.items():
+        try:
+            result = run_scheme(tree, name)
+        except NotApplicable:
+            continue
+        applied += 1
+        assert result.guarantee <= result.value <= best
+        if optimality == "proved":
+            assert result.value == best
+    assert applied
 
 
 @given(relabeled(caterpillars() | parity_uniform_spiders()), seeds)
