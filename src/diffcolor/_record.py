@@ -9,17 +9,23 @@ with exec, which together cost more than the CLI's own work on small inputs.
 class Record:
     """Equality, hash and repr over the fields named in _fields, in order.
 
-    A subclass lists its fields in _fields and writes an __init__ taking them
-    as parameters, which checks them and hands them, in field order, to
-    Record.__init__.
+    A subclass lists its fields in _fields. Record.__init__ takes them by
+    position, in field order, or by name, and raises TypeError unless each
+    field is given exactly once. A subclass that checks its fields writes an
+    __init__ that checks them and hands them on to Record.__init__.
     Attributes cannot be assigned or deleted afterwards; cached_property still
     works, since it writes the instance __dict__ directly.
     """
 
     _fields: tuple[str, ...] = ()
 
-    def __init__(self, *values):
-        self.__dict__.update(zip(self._fields, values))
+    def __init__(self, *values, **named):
+        fields = self._fields
+        if len(values) + len(named) != len(fields) or (
+                named and not named.keys() <= set(fields[len(values):])):
+            raise TypeError(f"{self.__class__.__qualname__} takes the fields "
+                            f"({', '.join(fields)}), each once, by position or by name")
+        self.__dict__.update(zip(fields, values), **named)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -18,9 +18,6 @@ from .graph import Tree, recognize_caterpillar, recognize_spider
 class BoundReport(Record):
     _fields = ("entries",)
 
-    def __init__(self, entries: tuple[tuple[str, int], ...]):
-        super().__init__(entries)
-
     @property
     def best(self) -> int:
         return min(value for _, value in self.entries)

@@ -58,46 +58,33 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="diffcolor",
         description="Maximum differential coloring of caterpillars and spiders.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("gen", help="generate a graph file")
-    _add_family_flags(p_gen, positional=True)
-    p_gen.add_argument("--out")
-
-    p_label = sub.add_parser("label", help="run a labeling scheme")
-    _add_family_flags(p_label, positional=False)
-    p_label.add_argument("--scheme", choices=("auto", *SCHEMES), default="auto")
-    p_label.add_argument("--format", choices=("json", "plain", "dot"), default="json")
-    p_label.add_argument("--out")
-
-    p_eval = sub.add_parser("eval", help="evaluate a labeling against a graph")
-    p_eval.add_argument("--in", dest="in_path", required=True)
-    p_eval.add_argument("--labeling", required=True)
-    p_eval.add_argument("--format", choices=("json", "plain"), default="json")
-    p_eval.add_argument("--out")
-
-    p_bound = sub.add_parser("bound", help="report upper bounds")
-    _add_family_flags(p_bound, positional=False)
-    p_bound.add_argument("--format", choices=("json", "plain"), default="json")
-    p_bound.add_argument("--out")
-
-    p_exact = sub.add_parser("exact", help="exact maximum differential value")
-    _add_family_flags(p_exact, positional=False)
-    p_exact.add_argument("--limit-n", type=int, default=DEFAULT_LIMIT_N)
-    p_exact.add_argument("--timeout-ms", type=int)
-    p_exact.add_argument("--format", choices=("json", "plain"), default="json")
-    p_exact.add_argument("--out")
-
-    p_cmp = sub.add_parser("compare-mp",
-                           help="bipartition-scheme value vs general caterpillar scheme")
-    _add_family_flags(p_cmp, positional=False)
-    p_cmp.add_argument("--out")
-
-    p_exp = sub.add_parser("export", help="DOT export, optionally annotated with labels")
-    _add_family_flags(p_exp, positional=False)
-    p_exp.add_argument("--labeling")
-    p_exp.add_argument("--scheme", choices=("auto", *SCHEMES))
-    p_exp.add_argument("--out")
-
+    for name, handler, help_text in (
+            ("gen", _cmd_gen, "generate a graph file"),
+            ("label", _cmd_label, "run a labeling scheme"),
+            ("eval", _cmd_eval, "evaluate a labeling against a graph"),
+            ("bound", _cmd_bound, "report upper bounds"),
+            ("exact", _cmd_exact, "exact maximum differential value"),
+            ("compare-mp", _cmd_compare_mp,
+             "bipartition-scheme value vs general caterpillar scheme"),
+            ("export", _cmd_export, "DOT export, optionally annotated with labels")):
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(handler=handler)
+        if name != "eval":  # eval reads its graph from --in alone
+            _add_family_flags(sp, positional=name == "gen")
+    command = sub.choices
+    command["label"].add_argument("--scheme", choices=("auto", *SCHEMES), default="auto")
+    command["label"].add_argument("--format", choices=("json", "plain", "dot"), default="json")
+    command["eval"].add_argument("--in", dest="in_path", required=True)
+    command["eval"].add_argument("--labeling", required=True)
+    command["exact"].add_argument("--limit-n", type=int, default=DEFAULT_LIMIT_N)
+    command["exact"].add_argument("--timeout-ms", type=int)
+    command["export"].add_argument("--labeling")
+    command["export"].add_argument("--scheme", choices=("auto", *SCHEMES))
+    # the shared flags come last, so each subcommand's help lists them last
+    for name in ("eval", "bound", "exact"):
+        command[name].add_argument("--format", choices=("json", "plain"), default="json")
+    for sp in command.values():
+        sp.add_argument("--out")
     return parser
 
 
@@ -133,10 +120,9 @@ def _generate(args: argparse.Namespace) -> Tree:
     if family == "random-cat":
         if args.seed is None:
             raise CliError("random generation requires --seed for reproducibility")
-        max_spine = args.spine if args.spine is not None else 30
-        max_legs = args.legs if args.legs is not None else 8
-        return gen_random_caterpillar(random.Random(args.seed), max_spine, max_legs)[0]
-    raise CliError(f"unknown family {family!r}")
+        maxima = {"max_spine": args.spine, "max_legs": args.legs}
+        return gen_random_caterpillar(
+            random.Random(args.seed), **{k: v for k, v in maxima.items() if v is not None})[0]
 
 
 def _resolve_tree(args: argparse.Namespace) -> Tree:
@@ -248,17 +234,6 @@ def _cmd_export(args) -> str:
     return to_dot(tree, labels)
 
 
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "label": _cmd_label,
-    "eval": _cmd_eval,
-    "bound": _cmd_bound,
-    "exact": _cmd_exact,
-    "compare-mp": _cmd_compare_mp,
-    "export": _cmd_export,
-}
-
-
 def run(argv, stdout=None, stderr=None) -> int:
     """Execute one command line; returns the exit code."""
     stdout = stdout if stdout is not None else sys.stdout
@@ -269,7 +244,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     try:
-        text = _HANDLERS[args.command](args)
+        text = args.handler(args)
         if args.out is None:
             stdout.write(text)
         else:

@@ -18,9 +18,6 @@ class Labeling(Record):
 
     _fields = ("labels",)
 
-    def __init__(self, labels: tuple[int, ...]):
-        super().__init__(labels)
-
     @property
     def n(self) -> int:
         return len(self.labels)
@@ -71,9 +68,6 @@ def differential_value(t: Graph, labeling: Labeling) -> int:
 
 class EvaluatedLabeling(Record):
     _fields = ("labeling", "value")
-
-    def __init__(self, labeling: Labeling, value: int):
-        super().__init__(labeling, value)
 
     def to_json(self) -> dict:
         return {

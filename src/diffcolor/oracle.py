@@ -47,9 +47,6 @@ class _Timeout(Exception):
 class ExactResult(Record):
     _fields = ("dc", "witness", "nodes", "millis")
 
-    def __init__(self, dc: int, witness: Labeling, nodes: int, millis: int):
-        super().__init__(dc, witness, nodes, millis)
-
     def to_json(self) -> dict:
         return {"dc": self.dc, "labels": list(self.witness.labels),
                 "nodes": self.nodes, "millis": self.millis}

@@ -51,10 +51,6 @@ class NotApplicable(ValueError):
 class SchemeResult(Record):
     _fields = ("scheme", "labeling", "guarantee", "optimal")
 
-    def __init__(self, scheme: str, labeling: EvaluatedLabeling, guarantee: int,
-                 optimal: str):
-        super().__init__(scheme, labeling, guarantee, optimal)
-
     @property
     def value(self) -> int:
         return self.labeling.value
@@ -187,13 +183,6 @@ class MarkingState(Record):
 
     _fields = ("low_spine", "high_spine", "middle", "low_legs", "high_legs",
                "middle_low_legs", "middle_high_legs", "pseudo_leg_owner")
-
-    def __init__(self, low_spine: frozenset[int], high_spine: frozenset[int], middle: int,
-                 low_legs: frozenset[int], high_legs: frozenset[int],
-                 middle_low_legs: tuple[int, ...], middle_high_legs: tuple[int, ...],
-                 pseudo_leg_owner: tuple[tuple[int, int], ...]):
-        super().__init__(low_spine, high_spine, middle, low_legs, high_legs,
-                         middle_low_legs, middle_high_legs, pseudo_leg_owner)
 
     def validate(self, shape: CaterpillarShape) -> None:
         n = shape.n

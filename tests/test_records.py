@@ -113,3 +113,29 @@ def test_construction_checks(cls, args, kind, message):
     with pytest.raises(ValueError) as info:
         cls(*args)
     assert type(info.value).__name__ == kind and str(info.value) == message
+
+
+# (positional values, named values) that do not give EvaluatedLabeling's
+# two fields once each
+MISGIVEN = [
+    ((LAB,), {}),
+    ((LAB, 1), {"value": 1}),
+    ((LAB,), {"labeling": LAB}),
+    ((LAB,), {"value": 1, "weight": 2}),
+    ((), {"labeling": LAB, "weight": 2}),
+    ((LAB, 1, 2), {}),
+]
+
+
+@pytest.mark.parametrize("values, named", MISGIVEN, ids=[
+    "missing", "repeated-by-name", "repeated-first", "unknown", "unknown-for-missing",
+    "too-many-positional"])
+def test_each_field_given_once(values, named):
+    with pytest.raises(TypeError) as info:
+        EvaluatedLabeling(*values, **named)
+    assert str(info.value) == ("EvaluatedLabeling takes the fields (labeling, value), "
+                               "each once, by position or by name")
+
+
+def test_fields_by_position_and_name_mixed():
+    assert EvaluatedLabeling(LAB, value=1) == EvaluatedLabeling(value=1, labeling=LAB)
