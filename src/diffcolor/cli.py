@@ -239,10 +239,14 @@ def run(argv, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
+    saved = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = stdout, stderr  # where argparse prints help and usage errors
     try:
         args = parser.parse_args(list(argv))
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
+    finally:
+        sys.stdout, sys.stderr = saved
     try:
         text = args.handler(args)
         if args.out is None:

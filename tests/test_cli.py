@@ -273,6 +273,13 @@ class TestErrors:
     def test_unknown_command(self):
         assert run(["frobnicate"], stdout=io.StringIO(), stderr=io.StringIO()) == 2
 
+    def test_argparse_writes_to_the_given_streams(self, capsys):
+        code, out, err = capture(["gen"])
+        assert (code, out) == (2, "") and err.startswith("usage: diffcolor gen")
+        code, out, err = capture(["bound", "--help"])
+        assert (code, err) == (0, "") and out.startswith("usage: diffcolor bound")
+        assert capsys.readouterr() == ("", "")
+
     def test_missing_file(self):
         code, _, err = capture(["bound", "--in", "/nonexistent/x.gr"])
         assert code == 2
