@@ -228,7 +228,9 @@ def parse_graph(text: str) -> Tree:
     lines are skipped like comments; a line of spaces is malformed.
 
     Raises GraphParseError (with line number) on any format violation; the
-    edge rules themselves (range, self-loop, duplicate) are Tree's.
+    edge rules themselves (range, self-loop, duplicate) are Tree's. A header
+    asking for more than MAX_N vertices raises SizeLimitError as soon as it
+    is read, ahead of the edges and of any later fault.
 
     The canonical text, exactly what write_graph emits ("p N M", then only
     "e U V" lines, in ASCII digits and single spaces, each ending in a
@@ -246,10 +248,16 @@ def parse_graph(text: str) -> Tree:
 def _parse_canonical(text: str) -> Tree | None:
     """parse_graph's fast path: the Tree of a valid canonical text, else None."""
     header = _CANONICAL_HEADER.match(text)
-    if header is None or _NOT_EDGE_LINE.search(text, header.end() - 1):
+    if header is None:
         return None
     try:
         n, m = map(int, header.groups())
+    except ValueError:  # a number longer than int() reads
+        return None
+    check_vertex_count(n)
+    if _NOT_EDGE_LINE.search(text, header.end() - 1):
+        return None
+    try:
         # "e 1 2\ne 2 3\n" -> "[1,2,2,3]": the C decoder makes the ints from the text
         ints = json.loads(
             "[" + text[header.end() + 2:-1].replace(" ", ",").replace("\ne,", ",") + "]")
@@ -299,6 +307,7 @@ def _parse_lines(text: str) -> Tree:
                 n, m = int(fields[1]), int(fields[2])
             except ValueError:
                 raise _long_number(line_no) from None
+            check_vertex_count(n)
             header_line = line_no
         else:
             raise GraphParseError(line_no, f"malformed line {line!r}")

@@ -92,6 +92,11 @@ class TestTree:
         assert not {"_degxor", "_coloring"} & t.__dict__.keys()
 
 
+# write_graph's text for a header over the vertex limit: each reading must
+# refuse it at the header, ahead of its 300,000 edges
+OVER_LIMIT = f"p {MAX_N + 1} 300000\n" + "".join(f"e {v} {v + 1}\n" for v in range(1, 300001))
+
+
 class TestSizeLimit:
     # only values just above the limit, each refused before any O(n) work
     @pytest.mark.parametrize("call, n", [
@@ -105,6 +110,20 @@ class TestSizeLimit:
     def test_refused_before_allocation(self, call, n):
         with small_peak(), pytest.raises(SizeLimitError, match=f"^n={n} exceeds the vertex limit"):
             call()
+
+    @pytest.mark.parametrize("text", [OVER_LIMIT, f"p {MAX_N + 1} 2\ne 1 2\ne x y\n"],
+                             ids=["canonical", "later-bad-line"])
+    def test_header_refused_before_the_edges(self, text):
+        with small_peak(), pytest.raises(SizeLimitError, match=f"^n={MAX_N + 1} exceeds"):
+            parse_graph(text)
+
+    def test_canonical_header_refused_without_a_tree(self, monkeypatch):
+        def refuse(n, edges):
+            raise AssertionError("Tree built for a header over the limit")
+
+        monkeypatch.setattr("diffcolor.graph.Tree", refuse)
+        with pytest.raises(SizeLimitError):
+            parse_graph(OVER_LIMIT)
 
 
 class TestParseGraph:
@@ -236,14 +255,16 @@ class TestCanonicalFastPath:
         "p 2 2\ne 1 2\ne 2 1\n", "p 2 1\ne 1 3\n", "p 2 1\ne 0 1\n", "p 0 0\n",
         f"p 2 1\ne 1 {LONG}\n", f"p {LONG} 0\n", "p 2 1\ne 1  2\n",
         "p 2 1\ne 1 \u0662\n", "p 2 1\ne 1,2\n", "p 3 2\ne 1 2\t\ne 2 3\n",
-        "p 2 1\ne 1e0 2\n", "", "e 1 2\np 2 1\n", f"p {MAX_N + 1} 0\n",
+        "p 2 1\ne 1e0 2\n", "", "e 1 2\np 2 1\n", f"p {MAX_N + 1} 0\n", OVER_LIMIT,
+        f"p {MAX_N + 1} 2\ne 1 2\ne x y\n",
     ], ids=["valid", "single-vertex", "unsorted", "comment-first", "comment-mid",
             "crlf", "no-final-newline", "trailing-blank-line", "vertical-tab",
             "line-separator", "edge-leading-zero", "header-leading-zero",
             "three-numbers", "m-too-high", "m-too-low", "self-loop", "duplicate",
             "out-of-range", "zero-endpoint", "p-0-0", "long-edge-number",
             "long-header-number", "double-space", "non-ascii-digit", "comma",
-            "trailing-tab", "exponent", "empty", "edge-before-header", "over-max-n"])
+            "trailing-tab", "exponent", "empty", "edge-before-header", "over-max-n",
+            "over-max-n-edges", "over-max-n-bad-line"])
     def test_agrees_with_the_line_reading(self, text):
         assert parse_outcome(parse_graph, text) == parse_outcome(_parse_lines, text)
 
