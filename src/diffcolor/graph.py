@@ -13,7 +13,7 @@ from collections import defaultdict
 from collections.abc import Iterator
 from functools import cached_property, reduce
 from itertools import accumulate, chain, compress
-from operator import itemgetter, ne, xor
+from operator import itemgetter, xor
 
 from ._record import Record
 
@@ -336,11 +336,16 @@ def write_graph(t: Tree) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _is_int_run(values, first: int, n: int) -> bool:
+    """Whether values are the ints first..first+n-1, each once; a bool or
+    another subclass of int does not count. Linear, in builtins only."""
+    return (len(values) == n and set(map(type, values)) == {int} and len(set(values)) == n
+            and min(values) == first and max(values) == first + n - 1)
+
+
 def _check_vertices(n: int, *blocks: tuple[int, ...]) -> None:
     """The shapes' partition rule: the blocks hold each of 0..n-1 exactly once."""
-    vertices = sorted(chain.from_iterable(blocks))
-    # compared against a lazy range: list(range(n)) would allocate n ints
-    if len(vertices) != n or any(map(ne, vertices, range(n))):
+    if not _is_int_run([*chain.from_iterable(blocks)], 0, n):
         raise ValueError("shape vertices must be exactly 0..n-1")
 
 

@@ -8,7 +8,7 @@ arithmetic on immutable values.
 from __future__ import annotations
 
 from ._record import Record
-from .graph import CaterpillarShape, SpiderShape, Tree, _is_int
+from .graph import CaterpillarShape, SpiderShape, Tree, _is_int, _is_int_run
 
 Graph = Tree | CaterpillarShape | SpiderShape  # anything with n and edges
 
@@ -40,8 +40,7 @@ def is_valid_labeling(t: Graph, labeling: Labeling) -> tuple[bool, str | None]:
     if len(labels) != n:
         return False, f"expected {n} labels, got {len(labels)}"
     # builtins accept a valid labeling; the loop below only names a violation
-    if (set(map(type, labels)) == {int} and len(set(labels)) == n
-            and min(labels) >= 1 and max(labels) <= n):
+    if _is_int_run(labels, 1, n):
         return True, None
     seen = set()
     for v, x in enumerate(labels):
