@@ -6,11 +6,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import diffcolor
-from diffcolor import MAX_N, parse_graph, recognize_caterpillar, recognize_spider
-from diffcolor.cli import run
-from helpers import small_peak
+from diffcolor import (MAX_N, SCHEMES, parse_graph, recognize_caterpillar,
+                       recognize_spider)
+from diffcolor.cli import FAMILIES, run
+from helpers import pruefer_to_edges, small_peak
 
 
 def capture(argv):
@@ -396,3 +399,102 @@ class TestDeterminism:
         a.pop("millis")
         b.pop("millis")
         assert a == b
+
+
+# Fuzzed command lines: each flag with values it may take, some of them bad.
+# GRAPH, LABELING and MISSING stand for files in a temporary directory.
+# --out is left out, since it writes wherever its value points.
+SMALL_INTS = ("-1", "0", "1", "2", "3", "x")
+VOCABULARY = {
+    "--in": ("GRAPH", "LABELING", "MISSING"),
+    "--labeling": ("LABELING", "GRAPH", "MISSING"),
+    "--family": (*FAMILIES, "tree"),
+    "--scheme": ("auto", *SCHEMES, "mp"),
+    "--format": ("json", "plain", "dot"),
+    "--leg-list": ("1,0,2", "2", "1,x", ""),
+    "--paths": ("2,2", "1,3", "3,3,3", "0"),
+    "--help": (),
+    **{flag: SMALL_INTS for flag in ("--spine", "--legs", "--k", "--delta", "--seed",
+                                      "--limit-n", "--timeout-ms")},
+}
+COMMANDS = ("gen", "label", "eval", "bound", "exact", "compare-mp", "export")
+# each family with the flags it needs
+FAMILY_FLAGS = {"regular-cat": ["--spine", "2", "--legs", "2"], "cat": ["--leg-list", "1,0,2"],
+                "spider": ["--paths", "2,2"], "sec53": ["--k", "1", "--delta", "2"],
+                "random-cat": ["--seed", "1", "--spine", "3"]}
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand and up to 8 tokens: an input source or none, then flags,
+    each followed by one of its values or by none. Most lines name an input
+    source, so that more of them get past that check."""
+    command = draw(st.sampled_from(COMMANDS))
+    families = [[family, *flags] for family, flags in FAMILY_FLAGS.items()]
+    if command == "gen":
+        sources = [[], *families]
+    else:
+        sources = [[], ["--in", "GRAPH"], *(["--family", *family] for family in families)]
+    groups = [draw(st.sampled_from(sources)), *draw(st.lists(
+        st.sampled_from(sorted(VOCABULARY)).flatmap(
+            lambda flag: st.sampled_from([[flag], *([flag, v] for v in VOCABULARY[flag])])),
+        max_size=2))]
+    return [command, *[token for group in groups for token in group][:8]]
+
+
+@st.composite
+def small_trees(draw):
+    """write_graph-style text of a tree with n <= 16, plus up to two edges
+    that may repeat one, loop or close a cycle."""
+    n = draw(st.integers(1, 16))
+    edges = pruefer_to_edges(draw(st.lists(st.integers(0, n - 1), min_size=n - 2,
+                                           max_size=n - 2)), n) if n >= 2 else []
+    edges += draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                           max_size=2))
+    return "".join([f"p {n} {len(edges)}\n", *(f"e {u + 1} {v + 1}\n" for u, v in edges)])
+
+
+# header and edge tokens joined by spaces, so no number grows near MAX_N
+# unless it is MAX_N + 1, which the header check refuses before any work
+GRAPH_TOKENS = ("p", "e", "c", "0", "1", "2", "3", "16", str(MAX_N + 1), "x", "-1",
+                "\n", "\r\n")
+
+graph_files = st.one_of(
+    small_trees().map(str.encode),
+    st.lists(st.sampled_from(GRAPH_TOKENS), max_size=12).map(
+        lambda tokens: " ".join(tokens).encode()),
+    st.binary(max_size=40))
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 18) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "labels", "value"]), inner, max_size=3),
+    max_leaves=8)
+
+
+@st.composite
+def labeling_files(draw):
+    labels = draw(st.permutations(range(1, draw(st.integers(1, 17)) + 1)))
+    obj = draw(st.just({"n": len(labels), "labels": labels}) | json_values)
+    return json.dumps(obj)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(command_line=command_lines(), graph=graph_files, labeling=labeling_files())
+def test_fuzzed_command_lines_exit_cleanly(fuzz_dir, command_line, graph, labeling):
+    (fuzz_dir / "g.gr").write_bytes(graph)
+    (fuzz_dir / "lab.json").write_text(labeling, encoding="utf-8")
+    paths = {"GRAPH": "g.gr", "LABELING": "lab.json", "MISSING": "missing"}
+    argv = [str(fuzz_dir / paths[t]) if t in paths else t for t in command_line]
+    if argv[0] == "exact":
+        argv += ["--timeout-ms", "200"]
+    out, err = io.StringIO(), io.StringIO()
+    code = run(argv, stdout=out, stderr=err)
+    assert code in (0, 2, 3), argv
+    if code:
+        assert "error: " in (err.getvalue().splitlines() or [""])[-1], argv
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
