@@ -252,12 +252,9 @@ def _parse_canonical(text: str) -> Tree | None:
         return None
     try:
         n, m = map(int, header.groups())
-    except ValueError:  # a number longer than int() reads
-        return None
-    check_vertex_count(n)
-    if _NOT_EDGE_LINE.search(text, header.end() - 1):
-        return None
-    try:
+        check_vertex_count(n)  # ahead of the edges; a SizeLimitError is not a ValueError
+        if _NOT_EDGE_LINE.search(text, header.end() - 1):
+            return None
         # "e 1 2\ne 2 3\n" -> "[1,2,2,3]": the C decoder makes the ints from the text
         ints = json.loads(
             "[" + text[header.end() + 2:-1].replace(" ", ",").replace("\ne,", ",") + "]")
