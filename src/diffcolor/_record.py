@@ -12,7 +12,7 @@ class Record:
     A subclass lists its fields in _fields. Record.__init__ takes them by
     position, in field order, or by name, and raises TypeError unless each
     field is given exactly once. A subclass that checks its fields writes an
-    __init__ that checks them and hands them on to Record.__init__.
+    __init__ around Record.__init__.
     Attributes cannot be assigned or deleted afterwards; cached_property still
     works, since it writes the instance __dict__ directly.
     """

@@ -238,11 +238,10 @@ def run(argv, stdout=None, stderr=None) -> int:
     """Execute one command line; returns the exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     saved = sys.stdout, sys.stderr
     sys.stdout, sys.stderr = stdout, stderr  # where argparse prints help and usage errors
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:  # argparse reports usage errors itself
         return int(exc.code or 0)
     finally:

@@ -229,8 +229,7 @@ def parse_graph(text: str) -> Tree:
 
     Raises GraphParseError (with line number) on any format violation; the
     edge rules themselves (range, self-loop, duplicate) are Tree's. A header
-    asking for more than MAX_N vertices raises SizeLimitError as soon as it
-    is read, ahead of the edges and of any later fault.
+    over MAX_N vertices raises SizeLimitError as soon as it is read.
 
     The canonical text, exactly what write_graph emits ("p N M", then only
     "e U V" lines, in ASCII digits and single spaces, each ending in a
@@ -362,9 +361,8 @@ class CaterpillarShape(_Shape):
 
     _fields = ("leg_counts", "spine_vertices", "leg_vertices")
 
-    def __init__(self, leg_counts: tuple[int, ...], spine_vertices: tuple[int, ...],
-                 leg_vertices: tuple[tuple[int, ...], ...]):
-        super().__init__(leg_counts, spine_vertices, leg_vertices)
+    def __init__(self, *values, **named):
+        super().__init__(*values, **named)
         s = len(self.leg_counts)
         if s == 0:
             raise ValueError("caterpillar needs at least one spine vertex")
@@ -410,9 +408,8 @@ class SpiderShape(_Shape):
 
     _fields = ("path_lengths", "center", "path_vertices")
 
-    def __init__(self, path_lengths: tuple[int, ...], center: int,
-                 path_vertices: tuple[tuple[int, ...], ...]):
-        super().__init__(path_lengths, center, path_vertices)
+    def __init__(self, *values, **named):
+        super().__init__(*values, **named)
         if len(self.path_lengths) == 0:
             raise ValueError("spider needs at least one path")
         if len(self.path_vertices) != len(self.path_lengths):
