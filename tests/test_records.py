@@ -103,12 +103,12 @@ REJECTED = [
      "path lengths must be positive and match vertex lists"),
     (SpiderShape, ((1,), 0, ((2,),)), "ValueError",
      "shape vertices must be exactly 0..n-1"),
+    (Tree, (3.0, ((0, 1), (1, 2))), "ValueError", "vertex count must be an integer, got 3.0"),
+    (Tree, (True, ()), "ValueError", "vertex count must be an integer, got True"),
     (CaterpillarShape, ((1,), (0.0,), ((1,),)), "ValueError",
      "shape vertices must be exactly 0..n-1"),
     (SpiderShape, ((1,), False, ((True,),)), "ValueError",
      "shape vertices must be exactly 0..n-1"),
-    (Tree, (3.0, ((0, 1), (1, 2))), "ValueError", "vertex count must be an integer, got 3.0"),
-    (Tree, (True, ()), "ValueError", "vertex count must be an integer, got True"),
 ]
 
 
@@ -132,7 +132,7 @@ MISGIVEN = [
 
 
 @pytest.mark.parametrize("values, named", MISGIVEN, ids=[
-    "missing", "repeated-by-name", "repeated-first", "unknown", "unknown-for-missing",
+    "missing", "repeated-last", "repeated-first", "unknown", "unknown-for-missing",
     "too-many-positional"])
 def test_each_field_given_once(values, named):
     with pytest.raises(TypeError) as info:
