@@ -13,7 +13,7 @@ from collections import defaultdict
 from collections.abc import Iterator
 from functools import cached_property, reduce
 from itertools import accumulate, chain, compress
-from operator import itemgetter, xor
+from operator import xor
 
 from ._record import Record
 
@@ -339,9 +339,10 @@ def _is_int_run(values, first: int, n: int) -> bool:
             and min(values) == first and max(values) == first + n - 1)
 
 
-def _check_vertices(n: int, *blocks: tuple[int, ...]) -> None:
-    """The shapes' partition rule: the blocks hold each of 0..n-1 exactly once."""
-    if not _is_int_run([*chain.from_iterable(blocks)], 0, n):
+def _check_vertices(*blocks: tuple[int, ...]) -> None:
+    """The shapes' partition rule: the n ids in the blocks are 0..n-1."""
+    vertices = [*chain.from_iterable(blocks)]
+    if not _is_int_run(vertices, 0, len(vertices)):
         raise ValueError("shape vertices must be exactly 0..n-1")
 
 
@@ -359,25 +360,26 @@ class CaterpillarShape(_Shape):
     at least one leg (a legless endpoint would itself be a leaf).
     """
 
-    _fields = ("leg_counts", "spine_vertices", "leg_vertices")
+    _fields = ("spine_vertices", "leg_vertices")
 
     def __init__(self, *values, **named):
         super().__init__(*values, **named)
-        s = len(self.leg_counts)
+        s = len(self.spine_vertices)
         if s == 0:
             raise ValueError("caterpillar needs at least one spine vertex")
-        if len(self.spine_vertices) != s or len(self.leg_vertices) != s:
+        if len(self.leg_vertices) != s:
             raise ValueError("spine and leg sequences must have equal length")
-        for count, legs in zip(self.leg_counts, self.leg_vertices):
-            if count < 0 or count != len(legs):
-                raise ValueError("leg counts must match leg vertex lists")
-        if s >= 2 and (self.leg_counts[0] < 1 or self.leg_counts[-1] < 1):
+        if s >= 2 and not (self.leg_counts[0] and self.leg_counts[-1]):
             raise ValueError("spine endpoints must have at least one leg")
-        _check_vertices(self.n, self.spine_vertices, *self.leg_vertices)
+        _check_vertices(self.spine_vertices, *self.leg_vertices)
+
+    @cached_property
+    def leg_counts(self) -> tuple[int, ...]:
+        return tuple(map(len, self.leg_vertices))
 
     @property
     def s(self) -> int:
-        return len(self.leg_counts)
+        return len(self.spine_vertices)
 
     @property
     def n(self) -> int:
@@ -406,40 +408,32 @@ class SpiderShape(_Shape):
     level = distance from the center.
     """
 
-    _fields = ("path_lengths", "center", "path_vertices")
+    _fields = ("center", "path_vertices")
 
     def __init__(self, *values, **named):
         super().__init__(*values, **named)
-        if len(self.path_lengths) == 0:
+        if len(self.path_vertices) == 0:
             raise ValueError("spider needs at least one path")
-        if len(self.path_vertices) != len(self.path_lengths):
-            raise ValueError("path length and vertex sequences must match")
-        for length, verts in zip(self.path_lengths, self.path_vertices):
-            if length < 1 or length != len(verts):
-                raise ValueError("path lengths must be positive and match vertex lists")
-        _check_vertices(self.n, (self.center,), *self.path_vertices)
+        if 0 in self.path_lengths:
+            raise ValueError("spider paths must be non-empty")
+        _check_vertices((self.center,), *self.path_vertices)
+
+    @cached_property
+    def path_lengths(self) -> tuple[int, ...]:
+        return tuple(map(len, self.path_vertices))
 
     @property
     def p(self) -> int:
-        return len(self.path_lengths)
+        return len(self.path_vertices)
 
     @property
     def n(self) -> int:
         return 1 + sum(self.path_lengths)
 
-    @cached_property
-    def level_counts(self) -> tuple[int, ...]:
-        """Entry l counts the vertices at level l, the center alone at 0; one
-        pass over the paths plus one suffix sum over the levels."""
-        ending = [0] * (max(self.path_lengths) + 1)
-        for length in self.path_lengths:
-            ending[length] += 1
-        reaching = tuple(accumulate(reversed(ending)))[::-1]
-        return (1, *reaching[1:])  # level 0 is the center alone
-
     @property
     def n_even(self) -> int:
-        return sum(self.level_counts[2::2])
+        """The paper's N_e: a path of length L has L // 2 even-level vertices."""
+        return sum(length // 2 for length in self.path_lengths)
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -477,9 +471,9 @@ def recognize_caterpillar(t: Tree) -> CaterpillarShape | None:
 
 def _caterpillar_shape(t: Tree) -> CaterpillarShape | None:
     if t.n == 1:
-        return CaterpillarShape((0,), (0,), ((),))
+        return CaterpillarShape((0,), ((),))
     if t.n == 2:
-        return CaterpillarShape((1,), (0,), ((1,),))
+        return CaterpillarShape((0,), ((1,),))
     deg, nx = t._degxor
     legs: defaultdict[int, list[int]] = defaultdict(list)
     for leaf in _leaves(deg):
@@ -499,8 +493,7 @@ def _caterpillar_shape(t: Tree) -> CaterpillarShape | None:
         for _ in range(s - 2):  # XOR out prev and cur's legs: cur's other non-leaf neighbour
             prev, cur = cur, reduce(xor, legs.get(cur, ()), nx[cur] ^ prev)
             spine.append(cur)
-    leg_vertices = tuple(tuple(legs.get(v, ())) for v in spine)
-    return CaterpillarShape(tuple(map(len, leg_vertices)), tuple(spine), leg_vertices)
+    return CaterpillarShape(tuple(spine), tuple(tuple(legs.get(v, ())) for v in spine))
 
 
 def recognize_spider(t: Tree) -> SpiderShape | None:
@@ -526,28 +519,26 @@ def _spider_shape(t: Tree) -> SpiderShape | None:
         return None
     if branches == 1:
         center = next(compress(range(n), map((2).__lt__, deg)))
-        arms = []
-        for leaf in leaves:  # walk each arm inward, from its leaf to the center
-            arm = [leaf]
-            prev, cur = leaf, nx[leaf]
-            while cur != center:
-                arm.append(cur)
-                prev, cur = cur, nx[cur] ^ prev
-            arm.reverse()
-            arms.append(tuple(arm))
-        arms.sort(key=itemgetter(0))  # by the vertex next to the center
+        # each arm is walked leaf to center, read outward, and sorted by its first vertex
+        arms = sorted(tuple(_walk(nx, leaf, center)[-2::-1]) for leaf in leaves)
     else:  # a path: center at a most-balanced interior vertex, ties to the smaller id
-        start = next(leaves)
-        path = [start]
-        prev, cur = start, nx[start]
-        for _ in range(n - 2):
-            path.append(cur)
-            prev, cur = cur, nx[cur] ^ prev
-        path.append(cur)
+        path = _walk(nx, next(leaves), next(leaves))
         i = min((n - 1) // 2, n // 2, key=path.__getitem__)  # the one or two most balanced
         center = path[i]
         arms = sorted((tuple(path[i - 1::-1]), tuple(path[i + 1:])))
-    return SpiderShape(tuple(map(len, arms)), center, tuple(arms))
+    return SpiderShape(center, tuple(arms))
+
+
+def _walk(nx: list[int], leaf: int, stop: int) -> list[int]:
+    """The vertices from leaf to stop, both included, along vertices of
+    degree 2: each step XORs the vertex it came from out of nx."""
+    walk = [leaf]
+    prev, cur = leaf, nx[leaf]
+    while cur != stop:
+        walk.append(cur)
+        prev, cur = cur, nx[cur] ^ prev
+    walk.append(cur)
+    return walk
 
 
 def _ints(what: str, *xs) -> tuple[int, ...]:
@@ -589,7 +580,7 @@ def gen_caterpillar(leg_counts) -> tuple[Tree, CaterpillarShape]:
     s = len(counts)
     if s >= 2 and (counts[0] < 1 or counts[-1] < 1):
         raise ValueError("spine endpoints must have at least one leg")
-    shape = CaterpillarShape(counts, tuple(range(s)), _id_blocks(s, counts))
+    shape = CaterpillarShape(tuple(range(s)), _id_blocks(s, counts))
     return shape.to_tree(), shape
 
 
@@ -602,7 +593,7 @@ def gen_spider(path_lengths) -> tuple[Tree, SpiderShape]:
         raise ValueError("path lengths must be non-empty")
     if any(x < 1 for x in lengths):
         raise ValueError("path lengths must be positive")
-    shape = SpiderShape(lengths, 0, _id_blocks(1, lengths))
+    shape = SpiderShape(0, _id_blocks(1, lengths))
     return shape.to_tree(), shape
 
 

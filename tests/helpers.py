@@ -190,9 +190,9 @@ def reference_coloring(t):
 def reference_caterpillar_shape(t):
     """The caterpillar recognizer as it was on adjacency lists."""
     if t.n == 1:
-        return CaterpillarShape((0,), (0,), ((),))
+        return CaterpillarShape((0,), ((),))
     if t.n == 2:
-        return CaterpillarShape((1,), (0,), ((1,),))
+        return CaterpillarShape((0,), ((1,),))
     adj = t.adjacency()
     on_spine = [len(nbrs) >= 2 for nbrs in adj]
     is_spine = on_spine.__getitem__
@@ -216,7 +216,7 @@ def reference_caterpillar_shape(t):
             spine.append(nxt)
             prev = cur
     legs = tuple(tuple(sorted(filterfalse(is_spine, adj[v]))) for v in spine)
-    return CaterpillarShape(tuple(len(l) for l in legs), tuple(spine), legs)
+    return CaterpillarShape(tuple(spine), legs)
 
 
 def reference_spider_shape(t):
@@ -245,4 +245,4 @@ def reference_spider_shape(t):
         path = (start, *arm(start, adj[start][0]))
         center = path[min(range(1, t.n - 1), key=lambda i: (abs(t.n - 1 - 2 * i), path[i]))]
     arms = tuple(arm(center, first) for first in sorted(adj[center]))
-    return SpiderShape(tuple(map(len, arms)), center, arms)
+    return SpiderShape(center, arms)

@@ -419,8 +419,10 @@ class TestGenerators:
         assert t.n == 4 and t.degrees()[0] == 3
         t, shape = gen_spider([2, 2, 2])
         assert t.n == 7
-        t, shape = gen_spider([3, 3])
-        assert t.n == 7 and shape.n_even == 2 and shape.level_counts == (1, 2, 2, 2)
+        lengths = [3, 3]
+        t, shape = gen_spider(lengths)
+        levels = (1, *(sum(x >= level for x in lengths) for level in range(1, 4)))
+        assert t.n == 7 and shape.n_even == 2 == sum(levels[2::2]) and levels == (1, 2, 2, 2)
 
     def test_spider_rejects_bad_lengths(self):
         with pytest.raises(ValueError):
@@ -460,8 +462,12 @@ class TestShapeInvariants:
         for total in range(1, 12):
             for lengths in partitions(total):
                 _, shape = gen_spider(lengths)
-                counts = shape.level_counts
+                counts = [1] + [0] * max(lengths)  # vertices per level, the center at 0
+                for verts in shape.path_vertices:
+                    for level, _ in enumerate(verts, start=1):
+                        counts[level] += 1
                 n_odd = sum(counts[1::2])
+                assert shape.n_even == sum(counts[2::2])
                 assert shape.n == shape.n_even + n_odd + 1
                 assert n_odd - shape.n_even <= shape.p
                 assert len(counts) == max(lengths) + 1
@@ -523,9 +529,9 @@ class TestShapeInvariants:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            CaterpillarShape((1, 0), (0, 1), ((2,), ()))  # legless right endpoint
+            CaterpillarShape((0, 1), ((2,), ()))  # legless right endpoint
         with pytest.raises(ValueError):
-            SpiderShape((2,), 0, ((1,),))  # length mismatch
+            SpiderShape(0, ((1,), ()))  # an empty path
 
 
 class TestBipartition:

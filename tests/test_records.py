@@ -13,12 +13,10 @@ LAB = Labeling((2, 1, 3))
 RECORDS = [
     (Tree, dict(n=3, edges=((0, 1), (1, 2))),
      "Tree(n=3, edges=((0, 1), (1, 2)))"),
-    (CaterpillarShape,
-     dict(leg_counts=(1, 0, 2), spine_vertices=(0, 1, 2), leg_vertices=((3,), (), (4, 5))),
-     "CaterpillarShape(leg_counts=(1, 0, 2), spine_vertices=(0, 1, 2), "
-     "leg_vertices=((3,), (), (4, 5)))"),
-    (SpiderShape, dict(path_lengths=(1, 2), center=0, path_vertices=((1,), (2, 3))),
-     "SpiderShape(path_lengths=(1, 2), center=0, path_vertices=((1,), (2, 3)))"),
+    (CaterpillarShape, dict(spine_vertices=(0, 1, 2), leg_vertices=((3,), (), (4, 5))),
+     "CaterpillarShape(spine_vertices=(0, 1, 2), leg_vertices=((3,), (), (4, 5)))"),
+    (SpiderShape, dict(center=0, path_vertices=((1,), (2, 3))),
+     "SpiderShape(center=0, path_vertices=((1,), (2, 3)))"),
     (Labeling, dict(labels=(2, 1, 3)), "Labeling(labels=(2, 1, 3))"),
     (EvaluatedLabeling, dict(labeling=LAB, value=1),
      "EvaluatedLabeling(labeling=Labeling(labels=(2, 1, 3)), value=1)"),
@@ -71,9 +69,34 @@ def test_fields_cannot_be_assigned(cls, fields, text):
 
 def test_spider_level_cache_stays_out_of_equality():
     # Tree's caches: tests/test_graph.py::TestDerivedCache::test_caches_stay_out_of_eq_hash_repr
-    s, t = (SpiderShape((1, 2), 0, ((1,), (2, 3))) for _ in range(2))
-    assert s.level_counts == (1, 2, 1) and "level_counts" in s.__dict__
+    # n_even reads the levels from path_lengths, which the constructor reads and caches
+    s, t = (SpiderShape(0, ((1,), (2, 3))) for _ in range(2))
+    assert s.path_lengths == (1, 2) and "path_lengths" in s.__dict__
     assert s == t and hash(s) == hash(t) and repr(s) == repr(t)
+
+
+@pytest.mark.parametrize("cls, args, fields", [
+    (CaterpillarShape, ((1.0,), (0,), ((1,),)), "spine_vertices, leg_vertices"),
+    (SpiderShape, ((1.0, 1), 0, ((1,), (2,))), "center, path_vertices"),
+], ids=["caterpillar", "spider"])
+def test_counts_are_not_fields(cls, args, fields):
+    # a count given as a field, the old first one, is refused by Record
+    with pytest.raises(TypeError) as info:
+        cls(*args)
+    assert str(info.value) == (f"{cls.__name__} takes the fields ({fields}), "
+                               "each once, by position or by name")
+
+
+def test_counts_are_read_from_the_vertex_lists():
+    cat = CaterpillarShape((0, 1, 2), ((3,), (), (4, 5)))
+    spider = SpiderShape(0, ((1,), (2, 3)))
+    assert cat.leg_counts == (1, 0, 2) == tuple(map(len, cat.leg_vertices))
+    assert spider.path_lengths == (1, 2) == tuple(map(len, spider.path_vertices))
+    for shape, name in ((cat, "leg_counts"), (spider, "path_lengths")):
+        bare = type(shape)(*shape._values())
+        del bare.__dict__[name]  # the cached counts, as if never read
+        assert name in shape.__dict__ and name not in repr(shape)
+        assert shape == bare and hash(shape) == hash(bare) and repr(shape) == repr(bare)
 
 
 # (class, constructor arguments, exception type name, exact message)
@@ -82,32 +105,30 @@ REJECTED = [
     (Tree, (2, ((1, 1),)), "_EdgeError", "self-loop at vertex 1"),
     (Tree, (2, ((0, 2),)), "_EdgeError", "endpoint out of range 0..1: (0, 2)"),
     (Tree, (3, ((0, 1), (1, 0))), "_EdgeError", "duplicate edge (0, 1)"),
-    (CaterpillarShape, ((), (), ()), "ValueError",
+    (CaterpillarShape, ((), ()), "ValueError",
      "caterpillar needs at least one spine vertex"),
-    (CaterpillarShape, ((1,), (0, 1), ((1,),)), "ValueError",
+    (CaterpillarShape, ((0, 1), ((1,),)), "ValueError",
      "spine and leg sequences must have equal length"),
-    (CaterpillarShape, ((2,), (0,), ((1,),)), "ValueError",
-     "leg counts must match leg vertex lists"),
-    (CaterpillarShape, ((-1,), (0,), ((),)), "ValueError",
-     "leg counts must match leg vertex lists"),
-    (CaterpillarShape, ((0, 1), (0, 1), ((), (2,))), "ValueError",
+    (CaterpillarShape, ((0, 1), ((2,), ())), "ValueError",  # legless right endpoint
      "spine endpoints must have at least one leg"),
-    (CaterpillarShape, ((1,), (0,), ((2,),)), "ValueError",
+    (CaterpillarShape, ((0,), ((0,),)), "ValueError",  # a spine vertex as its own leg
      "shape vertices must be exactly 0..n-1"),
-    (SpiderShape, ((), 0, ()), "ValueError", "spider needs at least one path"),
-    (SpiderShape, ((1,), 0, ((1,), (2,))), "ValueError",
-     "path length and vertex sequences must match"),
-    (SpiderShape, ((0,), 0, ((),)), "ValueError",
-     "path lengths must be positive and match vertex lists"),
-    (SpiderShape, ((2,), 0, ((1,),)), "ValueError",
-     "path lengths must be positive and match vertex lists"),
-    (SpiderShape, ((1,), 0, ((2,),)), "ValueError",
+    (CaterpillarShape, ((0, 1), ((), (2,))), "ValueError",
+     "spine endpoints must have at least one leg"),
+    (CaterpillarShape, ((0,), ((2,),)), "ValueError",
+     "shape vertices must be exactly 0..n-1"),
+    (SpiderShape, (0, ()), "ValueError", "spider needs at least one path"),
+    (SpiderShape, (0, ((1,), ())), "ValueError", "spider paths must be non-empty"),
+    (SpiderShape, (0, ((),)), "ValueError", "spider paths must be non-empty"),
+    (SpiderShape, (0, ((1, 2), (2,))), "ValueError",  # a vertex on two paths
+     "shape vertices must be exactly 0..n-1"),
+    (SpiderShape, (0, ((2,),)), "ValueError",
      "shape vertices must be exactly 0..n-1"),
     (Tree, (3.0, ((0, 1), (1, 2))), "ValueError", "vertex count must be an integer, got 3.0"),
     (Tree, (True, ()), "ValueError", "vertex count must be an integer, got True"),
-    (CaterpillarShape, ((1,), (0.0,), ((1,),)), "ValueError",
+    (CaterpillarShape, ((0.0,), ((1,),)), "ValueError",
      "shape vertices must be exactly 0..n-1"),
-    (SpiderShape, ((1,), False, ((True,),)), "ValueError",
+    (SpiderShape, (False, ((True,),)), "ValueError",
      "shape vertices must be exactly 0..n-1"),
 ]
 
