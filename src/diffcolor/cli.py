@@ -13,14 +13,18 @@ Exit codes: 0 success, 2 validation error, 3 size limit (MAX_N vertices, the
 exact solver's limit) or exact-solver timeout.
 All output is deterministic for identical argv (random generation requires
 an explicit --seed).
+
+Each subcommand's flags are declared once, in _COMMANDS. A well-formed
+command line is read from that table directly; argparse, built from the same
+table, is imported only for --help, usage errors and the spellings the small
+reader leaves to it (see _read_well_formed).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import random
 import sys
+from types import SimpleNamespace
 
 from .bounds import upper_bound_report
 from .graph import (SizeLimitError, Tree, check_vertex_count, gen_caterpillar,
@@ -38,56 +42,6 @@ class CliError(ValueError):
     pass
 
 
-def _add_family_flags(sp: argparse.ArgumentParser, positional: bool) -> None:
-    if positional:
-        sp.add_argument("family", choices=FAMILIES)
-    else:
-        sp.add_argument("--in", dest="in_path")
-        sp.add_argument("--family", choices=FAMILIES)
-    sp.add_argument("--spine", type=int, help="spine length (max length for random-cat)")
-    sp.add_argument("--legs", type=int, help="legs per spine vertex (max for random-cat)")
-    sp.add_argument("--leg-list", help="comma-separated per-spine leg counts, e.g. 1,0,2")
-    sp.add_argument("--paths", help="comma-separated spider path lengths, e.g. 3,3")
-    sp.add_argument("--k", type=int, help="sec53: half spine length (2k+1 spine vertices)")
-    sp.add_argument("--delta", type=int, help="sec53: legs per even spine vertex")
-    sp.add_argument("--seed", type=int, help="seed for random generation (mandatory)")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="diffcolor",
-        description="Maximum differential coloring of caterpillars and spiders.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, help_text in (
-            ("gen", _cmd_gen, "generate a graph file"),
-            ("label", _cmd_label, "run a labeling scheme"),
-            ("eval", _cmd_eval, "evaluate a labeling against a graph"),
-            ("bound", _cmd_bound, "report upper bounds"),
-            ("exact", _cmd_exact, "exact maximum differential value"),
-            ("compare-mp", _cmd_compare_mp,
-             "bipartition-scheme value vs general caterpillar scheme"),
-            ("export", _cmd_export, "DOT export, optionally annotated with labels")):
-        sp = sub.add_parser(name, help=help_text)
-        sp.set_defaults(handler=handler)
-        if name != "eval":  # eval reads its graph from --in alone
-            _add_family_flags(sp, positional=name == "gen")
-    command = sub.choices
-    command["label"].add_argument("--scheme", choices=("auto", *SCHEMES), default="auto")
-    command["label"].add_argument("--format", choices=("json", "plain", "dot"), default="json")
-    command["eval"].add_argument("--in", dest="in_path", required=True)
-    command["eval"].add_argument("--labeling", required=True)
-    command["exact"].add_argument("--limit-n", type=int, default=DEFAULT_LIMIT_N)
-    command["exact"].add_argument("--timeout-ms", type=int)
-    command["export"].add_argument("--labeling")
-    command["export"].add_argument("--scheme", choices=("auto", *SCHEMES))
-    # the shared flags come last, so each subcommand's help lists them last
-    for name in ("eval", "bound", "exact"):
-        command[name].add_argument("--format", choices=("json", "plain"), default="json")
-    for sp in command.values():
-        sp.add_argument("--out")
-    return parser
-
-
 def _parse_int_list(text: str, what: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",")]
@@ -95,7 +49,7 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise CliError(f"malformed {what} {text!r}: {exc}") from exc
 
 
-def _generate(args: argparse.Namespace) -> Tree:
+def _generate(args) -> Tree:
     family = args.family
     if family == "regular-cat":
         if args.spine is None or args.legs is None:
@@ -120,19 +74,25 @@ def _generate(args: argparse.Namespace) -> Tree:
     if family == "random-cat":
         if args.seed is None:
             raise CliError("random generation requires --seed for reproducibility")
+        import random  # only this family draws
+
         maxima = {"max_spine": args.spine, "max_legs": args.legs}
         return gen_random_caterpillar(
             random.Random(args.seed), **{k: v for k, v in maxima.items() if v is not None})[0]
 
 
-def _resolve_tree(args: argparse.Namespace) -> Tree:
+def _resolve_tree(args) -> Tree:
     has_in = getattr(args, "in_path", None) is not None
     has_family = getattr(args, "family", None) is not None
     if has_in == has_family:
         raise CliError("exactly one input source required: --in FILE or --family NAME")
     if has_in:
         with open(args.in_path, encoding="utf-8") as fh:
-            return parse_graph(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise CliError(f"malformed graph file {args.in_path}: {exc}") from exc
+        return parse_graph(text)
     return _generate(args)
 
 
@@ -140,7 +100,8 @@ def _read_labeling(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting recurses
+        # bad JSON or UTF-8, an int longer than int() reads, or deep nesting
+        except (ValueError, RecursionError) as exc:
             raise CliError(f"malformed labeling file {path}: {exc}") from exc
     return labeling_from_json(obj)
 
@@ -234,18 +195,124 @@ def _cmd_export(args) -> str:
     return to_dot(tree, labels)
 
 
+def _flag(option, kind=str, choices=None, default=None, required=False, help=None):
+    """One row of a subcommand's flag table; an option without dashes is positional."""
+    dest = "in_path" if option == "--in" else option.lstrip("-").replace("-", "_")
+    return option, dest, kind, choices, default, required, help
+
+
+_SOURCE = (_flag("--in"), _flag("--family", choices=FAMILIES))
+_SHAPE = (
+    _flag("--spine", int, help="spine length (max length for random-cat)"),
+    _flag("--legs", int, help="legs per spine vertex (max for random-cat)"),
+    _flag("--leg-list", help="comma-separated per-spine leg counts, e.g. 1,0,2"),
+    _flag("--paths", help="comma-separated spider path lengths, e.g. 3,3"),
+    _flag("--k", int, help="sec53: half spine length (2k+1 spine vertices)"),
+    _flag("--delta", int, help="sec53: legs per even spine vertex"),
+    _flag("--seed", int, help="seed for random generation (mandatory)"))
+_FORMAT = _flag("--format", choices=("json", "plain"), default="json")
+_OUT = _flag("--out")
+
+# Each subcommand: its handler, its help line and its flags in help order.
+# Both readers of a command line, _read_well_formed and _build_parser, read
+# this table and nothing else.
+_COMMANDS = {
+    "gen": (_cmd_gen, "generate a graph file",
+            (_flag("family", choices=FAMILIES), *_SHAPE, _OUT)),
+    "label": (_cmd_label, "run a labeling scheme", (
+        *_SOURCE, *_SHAPE, _flag("--scheme", choices=("auto", *SCHEMES), default="auto"),
+        _flag("--format", choices=("json", "plain", "dot"), default="json"), _OUT)),
+    "eval": (_cmd_eval, "evaluate a labeling against a graph", (
+        _flag("--in", required=True), _flag("--labeling", required=True), _FORMAT, _OUT)),
+    "bound": (_cmd_bound, "report upper bounds", (*_SOURCE, *_SHAPE, _FORMAT, _OUT)),
+    "exact": (_cmd_exact, "exact maximum differential value", (
+        *_SOURCE, *_SHAPE, _flag("--limit-n", int, default=DEFAULT_LIMIT_N),
+        _flag("--timeout-ms", int), _FORMAT, _OUT)),
+    "compare-mp": (_cmd_compare_mp, "bipartition-scheme value vs general caterpillar scheme",
+                   (*_SOURCE, *_SHAPE, _OUT)),
+    "export": (_cmd_export, "DOT export, optionally annotated with labels", (
+        *_SOURCE, *_SHAPE, _flag("--labeling"), _flag("--scheme", choices=("auto", *SCHEMES)),
+        _OUT)),
+}
+
+
+def _read_well_formed(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse makes of argv, when argv is a subcommand, its
+    positional (gen's family) and then exact flag names, each at most once
+    and each followed by a value that does not start with "-" and passes
+    the flag's type and choices, with every required flag given. Anything
+    else (help, usage errors, abbreviations, "--flag=value", repeats,
+    negative numbers, "--") returns None and is left to argparse."""
+    row = _COMMANDS.get(argv[0]) if argv else None
+    if row is None:
+        return None
+    handler, _, flags = row
+    positional = [flag for flag in flags if flag[0][0] != "-"]
+    named = {flag[0]: flag for flag in flags if flag[0][0] == "-"}
+    tokens = argv[1:]
+    rest = tokens[len(positional):]
+    if len(tokens) < len(positional) or len(rest) % 2:
+        return None
+    given = list(zip(positional, tokens))
+    for option, value in zip(rest[::2], rest[1::2]):
+        flag = named.pop(option, None)  # popped, so a repeated flag is not found
+        if flag is None:
+            return None
+        given.append((flag, value))
+    args = {"command": argv[0], "handler": handler}
+    args.update((dest, default) for _, dest, _, _, default, _, _ in flags)
+    for (_, dest, kind, choices, _, _, _), value in given:
+        if value[:1] == "-":
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        if choices is not None and value not in choices:
+            return None
+        args[dest] = value
+    if any(required for _, _, _, _, _, required, _ in named.values()):  # not given
+        return None
+    return SimpleNamespace(**args)
+
+
+def _build_parser():
+    """The argparse parser of the same table: the source of help text and
+    usage errors, imported only when _read_well_formed declines a line."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="diffcolor",
+        description="Maximum differential coloring of caterpillars and spiders.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (handler, help_text, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
+        sp.set_defaults(handler=handler)
+        for option, dest, kind, choices, default, required, help in flags:
+            if option[0] == "-":
+                sp.add_argument(option, dest=dest, type=kind, choices=choices,
+                                default=default, required=required, help=help)
+            else:
+                sp.add_argument(option, type=kind, choices=choices, help=help)
+    return parser
+
+
 def run(argv, stdout=None, stderr=None) -> int:
     """Execute one command line; returns the exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    saved = sys.stdout, sys.stderr
-    sys.stdout, sys.stderr = stdout, stderr  # where argparse prints help and usage errors
-    try:
-        args = _build_parser().parse_args(list(argv))
-    except SystemExit as exc:  # argparse reports usage errors itself
-        return int(exc.code or 0)
-    finally:
-        sys.stdout, sys.stderr = saved
+    argv = list(argv)
+    args = _read_well_formed(argv)
+    if args is None:
+        saved = sys.stdout, sys.stderr
+        sys.stdout, sys.stderr = stdout, stderr  # where argparse prints help and usage errors
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse reports usage errors itself
+            return int(exc.code or 0)
+        finally:
+            sys.stdout, sys.stderr = saved
     try:
         text = args.handler(args)
         if args.out is None:

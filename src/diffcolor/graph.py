@@ -6,7 +6,6 @@ Vertices are integers 0..n-1 internally; graph files are 1-based.
 from __future__ import annotations
 
 import json
-import random
 import re
 import sys
 from collections import defaultdict
@@ -219,6 +218,11 @@ class Tree(Record):
 _CANONICAL_HEADER = re.compile(r"p ([0-9]+) ([0-9]+)\n")
 # A newline followed by neither a canonical edge line nor the end of the text.
 _NOT_EDGE_LINE = re.compile(r"\n(?!e [0-9]+ [0-9]+\n|\Z)")
+# The lines _parse_lines skips (comments, empty lines), then a header line it
+# accepts. Each line break matches one way ("\r" alone only where no "\n"
+# follows), so a failed match takes linear time.
+_LEADING_HEADER = re.compile(
+    r"(?:(?:c(?: [^\r\n]*)?)?(?:\r\n|\r(?!\n)|\n))*p ([0-9]+) ([0-9]+)(?:\r\n|\r|\n|\Z)")
 
 
 def parse_graph(text: str) -> Tree:
@@ -273,6 +277,14 @@ def _parse_canonical(text: str) -> Tree | None:
 def _parse_lines(text: str) -> Tree:
     """parse_graph line by line: the reference reading, and the only one that
     raises GraphParseError."""
+    header = _LEADING_HEADER.match(text)
+    if header is not None:  # checked ahead of the split, which costs as much as the edges
+        try:
+            declared, _ = map(int, header.groups())
+        except ValueError:  # a number int() refuses: the loop reports it with its line
+            pass
+        else:
+            check_vertex_count(declared)
     n = m = None
     header_line = 0
     edges: list[tuple[int, int]] = []
@@ -597,10 +609,11 @@ def gen_spider(path_lengths) -> tuple[Tree, SpiderShape]:
     return shape.to_tree(), shape
 
 
-def gen_random_caterpillar(rng: random.Random, max_spine: int = 30,
+def gen_random_caterpillar(rng, max_spine: int = 30,
                            max_legs: int = 8) -> tuple[Tree, CaterpillarShape]:
-    """Random canonical caterpillar: spine length in 1..max_spine, interior
-    leg counts in 0..max_legs, endpoint leg counts in 1..max_legs.
+    """Random canonical caterpillar drawn with rng.randint (a random.Random):
+    spine length in 1..max_spine, interior leg counts in 0..max_legs,
+    endpoint leg counts in 1..max_legs.
     """
     if min(_ints("max_spine and max_legs", max_spine, max_legs)) < 1:
         raise ValueError("bounds must be positive")

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import diffcolor
 from diffcolor import (MAX_N, SCHEMES, parse_graph, recognize_caterpillar,
                        recognize_spider)
-from diffcolor.cli import FAMILIES, run
+from diffcolor.cli import FAMILIES, _build_parser, _read_well_formed, run
 from helpers import pruefer_to_edges, small_peak
 
 
@@ -371,16 +371,90 @@ class TestErrors:
         assert (code, out) == (2, "")
         assert err.startswith("error: malformed labeling file") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["eval", "export"])
+    @pytest.mark.parametrize("content, reason", [
+        pytest.param(b"[" + b"1" * 5000 + b"]", "Exceeds the limit (", marks=pytest.mark.skipif(
+            not hasattr(sys, "get_int_max_str_digits"),
+            reason="int() has no digit limit before Python 3.10.7"), id="long-int"),
+        pytest.param(b'{"n": 1, "labels": [1]}\xff', "'utf-8' codec can't decode byte 0xff",
+                     id="not-utf-8"),
+    ])
+    def test_undecodable_labeling_names_the_file(self, tmp_path, command, content, reason):
+        g = tmp_path / "p3.gr"
+        g.write_text("p 3 2\ne 1 2\ne 2 3\n")
+        lab = tmp_path / "lab.json"
+        lab.write_bytes(content)
+        code, out, err = capture([command, "--in", str(g), "--labeling", str(lab)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: malformed labeling file {lab}: {reason}")
+        assert err.count("\n") == 1
+
+    def test_non_utf8_graph_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.gr"
+        path.write_bytes(b"c caf\xe9\np 2 1\ne 1 2\n")
+        message = (f"error: malformed graph file {path}: 'utf-8' codec can't decode "
+                   "byte 0xe9 in position 5: invalid continuation byte\n")
+        assert capture(["bound", "--in", str(path)]) == (2, "", message)
+
     def test_import_skips_process_pool(self):
-        # Every subcommand pays for what diffcolor.cli imports.
-        code = ("import sys, diffcolor.cli; "
-                "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', "
-                "'dataclasses', 'inspect') if m in sys.modules))")
+        # Every subcommand pays for what diffcolor.cli imports. Without site
+        # (-S), nothing else has loaded these either: argparse, with gettext,
+        # loads only for help and usage errors, random only for random-cat.
+        code = ("import io, sys, diffcolor.cli as cli; "
+                "heavy = ('concurrent.futures', 'multiprocessing', 'dataclasses', "
+                "'inspect', 'argparse', 'gettext', 'random'); "
+                "loaded = lambda: sorted(m for m in heavy if m in sys.modules); "
+                "print(loaded()); "
+                "print(cli.run(['label', '--family', 'spider', '--paths', '2,2'], "
+                "stdout=io.StringIO()), loaded()); "
+                "print(cli.run(['gen', 'cat', '--leg-list', '1,0,2', '--format', 'x'], "
+                "stdout=io.StringIO(), stderr=io.StringIO()), loaded()); "
+                "print(cli.run(['--help'], stdout=io.StringIO()), loaded())")
         src = str(Path(diffcolor.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                               capture_output=True, text=True, check=True)
-        assert proc.stdout == "[]\n"
+        assert proc.stdout == "[]\n0 []\n2 ['argparse', 'gettext']\n0 ['argparse', 'gettext']\n"
+
+    # Lines argparse reads but the small reader leaves to it: run must print
+    # what argparse's namespace makes the handler return, or argparse's own
+    # help or usage error.
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--family", "regular-cat", "--sp", "3", "--legs", "1"],
+        ["label", "--family", "cat", "--leg-list", "1,0,2", "--format=plain"],
+        ["gen", "random-cat", "--seed", "1", "--seed", "2"],
+        ["gen", "random-cat", "--seed", "-1"],
+        ["gen", "--spine", "2", "--legs", "2", "regular-cat"],
+        ["gen", "--spine", "2", "--legs", "2", "--", "regular-cat"],
+        ["label", "--family", "cat", "--help", "--leg-list", "1,0,2"],
+        ["gen", "regular-cat", "--spine", "2", "--legs"],
+        ["eval", "--in", "g.gr"],
+        ["gen"],
+        [],
+    ], ids=["abbreviation", "flag=value", "repeated-flag", "negative-number", "family-last",
+            "double-dash", "help-mid-line", "missing-value", "missing-required", "no-family",
+            "empty"])
+    def test_reader_declines_to_argparse(self, argv, capsys):
+        assert _read_well_formed(argv) is None
+        try:
+            args = _build_parser().parse_args(argv)
+        except SystemExit as exc:
+            reference = exc.code, *capsys.readouterr()
+        else:
+            reference = 0, args.handler(args), ""
+        assert capture(argv) == reference
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "regular-cat", "--spine", "2", "--legs", "2"],
+        ["label", "--in", "g.gr", "--scheme", "general-cat", "--format", "dot", "--out", "x"],
+        ["eval", "--labeling", "l.json", "--in", "g.gr"],
+        ["exact", "--family", "spider", "--paths", "2,2", "--limit-n", "9", "--timeout-ms", "0"],
+        ["export", "--family", "sec53", "--k", "1", "--delta", "2", "--scheme", "auto"],
+        ["compare-mp", "--in", ""],
+    ])
+    def test_reader_matches_argparse(self, argv):
+        args = _read_well_formed(argv)
+        assert args is not None and vars(args) == vars(_build_parser().parse_args(argv))
 
 
 class TestDeterminism:
@@ -498,3 +572,11 @@ def test_fuzzed_command_lines_exit_cleanly(fuzz_dir, command_line, graph, labeli
     if code:
         assert "error: " in (err.getvalue().splitlines() or [""])[-1], argv
     assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+
+
+@given(command_line=command_lines())
+def test_reader_agrees_with_argparse(command_line):
+    # whatever the small reader accepts, argparse reads the same way
+    args = _read_well_formed(command_line)
+    if args is not None:
+        assert vars(args) == vars(_build_parser().parse_args(command_line))

@@ -111,11 +111,27 @@ class TestSizeLimit:
         with small_peak(), pytest.raises(SizeLimitError, match=f"^n={n} exceeds the vertex limit"):
             call()
 
-    @pytest.mark.parametrize("text", [OVER_LIMIT, f"p {MAX_N + 1} 2\ne 1 2\ne x y\n"],
-                             ids=["canonical", "later-bad-line"])
+    @pytest.mark.parametrize("text", [
+        OVER_LIMIT, f"p {MAX_N + 1} 2\ne 1 2\ne x y\n", "c x\n" + OVER_LIMIT,
+        "c\n\r\n\rc y\r" + OVER_LIMIT,
+    ], ids=["canonical", "later-bad-line", "comment-first", "blank-and-comment-lines"])
     def test_header_refused_before_the_edges(self, text):
         with small_peak(), pytest.raises(SizeLimitError, match=f"^n={MAX_N + 1} exceeds"):
             parse_graph(text)
+
+    # the header is read ahead of the other lines, but an earlier line's
+    # error, or the header's own, still comes first
+    @pytest.mark.parametrize("text, message", [
+        (f"c x\ne 1 2\np {MAX_N + 1} 1\n", "line 2: edge line before header"),
+        (f"x\np {MAX_N + 1} 0\n", "line 1: malformed line 'x'"),
+        (f"c x\n\tp {MAX_N + 1} 0\n", f"line 2: malformed line '\\tp {MAX_N + 1} 0'"),
+        (f"c x\np {MAX_N + 1} 0 0\n", f"line 2: malformed header 'p {MAX_N + 1} 0 0'"),
+        (f"c x\np {MAX_N + 1} x\n", f"line 2: malformed header 'p {MAX_N + 1} x'"),
+    ], ids=["edge-before", "bad-line-before", "tab-before-header", "four-fields", "bad-m"])
+    def test_earlier_errors_win_over_the_size_limit(self, text, message):
+        with pytest.raises(GraphParseError) as info:
+            parse_graph(text)
+        assert str(info.value) == message
 
     def test_canonical_header_refused_without_a_tree(self, monkeypatch):
         def refuse(n, edges):
