@@ -39,11 +39,10 @@ def upper_bound_report(t: Tree) -> BoundReport:
     if not t.is_connected():
         raise ValueError("input graph is disconnected")
     entries = [("thm1", t.n // 2)]
-    if t.is_tree():
-        cat = recognize_caterpillar(t)
-        if cat is not None and cat.is_regular and cat.s % 2 == 1:
-            entries.append(("thm2", (t.n - cat.delta + 1) // 2))
-        spider = recognize_spider(t)
-        if spider is not None:
-            entries.append(("thm3", spider.n_even + 1))
+    cat = recognize_caterpillar(t)
+    if cat is not None and cat.is_regular and cat.s % 2 == 1:
+        entries.append(("thm2", (t.n - cat.delta + 1) // 2))
+    spider = recognize_spider(t)
+    if spider is not None:
+        entries.append(("thm3", spider.n_even + 1))
     return BoundReport(tuple(entries))

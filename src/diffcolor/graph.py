@@ -38,10 +38,6 @@ class GraphParseError(ValueError):
         self.line_no = line_no
 
 
-class NotATreeError(ValueError):
-    pass
-
-
 def _is_int(x) -> bool:
     """An integer, where bools (JSON's true/false) do not count."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -59,7 +55,8 @@ class Tree(Record):
     """A simple undirected graph.
 
     Despite the name, arbitrary simple graphs are representable; operations
-    that need a connected tree (or forest) check and raise explicitly.
+    that need a connected tree (or forest) check and raise explicitly; the
+    recognizers answer None off connected trees, as for a tree of another class.
     edges is a sequence of vertex pairs; endpoints must be ints (not bools).
     Edges are normalized to (min, max) at construction.
 
@@ -464,21 +461,15 @@ def _leaves(deg: list[int]) -> Iterator[int]:
     return compress(range(len(deg)), map((1).__eq__, deg))
 
 
-def _require_connected_tree(t: Tree) -> None:
-    if not t.is_tree():
-        raise NotATreeError("input is not a connected tree")
-
-
 def recognize_caterpillar(t: Tree) -> CaterpillarShape | None:
-    """Return the caterpillar shape of t, or None if removing all leaves does
-    not leave a path.
+    """Return the caterpillar shape of t, or None if t is not a connected tree
+    or removing all leaves does not leave a path.
 
     The spine is oriented so the endpoint with the smaller vertex id comes
     first. Degenerate cases: n=1 -> one spine vertex with no legs; n=2 -> the
     smaller id is the spine vertex, the other its leg.
     """
-    _require_connected_tree(t)
-    return t._caterpillar
+    return t._caterpillar if t.is_tree() else None
 
 
 def _caterpillar_shape(t: Tree) -> CaterpillarShape | None:
@@ -509,15 +500,15 @@ def _caterpillar_shape(t: Tree) -> CaterpillarShape | None:
 
 
 def recognize_spider(t: Tree) -> SpiderShape | None:
-    """Return the spider shape of t, or None.
+    """Return the spider shape of t, or None (always None if t is not a
+    connected tree).
 
     Accepted: exactly one vertex of degree >= 3 (the center) with all others
     of degree <= 2; additionally, a path with n >= 3 counts as a spider with
     p=2, centered at a most-balanced interior vertex (ties -> smaller id).
     Single vertices and single edges are rejected.
     """
-    _require_connected_tree(t)
-    return t._spider
+    return t._spider if t.is_tree() else None
 
 
 def _spider_shape(t: Tree) -> SpiderShape | None:

@@ -9,15 +9,16 @@ Four schemes are provided:
   label_general_caterpillar  any caterpillar; guarantees value >= ceil(n/2)-delta-2.
 
 SCHEMES lists them in label_auto's order of preference, each with the shape
-class it labels, that class's recognizer, the scheme's draft (a function from
-the shape to its labels and guarantee) and its optimality: "proved" when the
+class it labels, the reader of the draft's input (from a Tree to its shape, or
+None, as on every graph that is not a connected tree), the scheme's draft (from
+that input to its labels and guarantee) and its optimality: "proved" when the
 guarantee is the proved optimum, "unknown" when it is only a lower bound.
 A draft lists the vertices in label order, and _number gives the k-th vertex
 of that list the number k.
 A draft's own guard is the only statement of when its scheme applies: it
 raises NotApplicable (a ValueError) with the reason. run_scheme(t, name)
-recognizes the shape and runs one row; label_auto runs the first row that
-applies and otherwise names every row's reason.
+reads the draft's input and runs one row; label_auto runs the first row that
+applies and otherwise names every row's reason, on any graph.
 
 Every result is checked by _finish before it is returned: the labels must be
 a bijection onto 1..n and reach the guarantee, exactly for a proved scheme.
@@ -326,7 +327,7 @@ def mp_value(t: Tree) -> int:
     return bipartition_sizes(t)[1]
 
 
-# name: (shape class, its recognizer, scheme draft, optimality), in label_auto's order
+# name: (shape class, the reader of the draft's input, draft, optimality), in label_auto's order
 SCHEMES = {
     "regular-cat": ("caterpillar", recognize_caterpillar, _regular_cat, "proved"),
     "spider-even": ("spider", recognize_spider, _spider_even, "proved"),

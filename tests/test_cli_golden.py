@@ -83,6 +83,31 @@ def test_cli_bytes(name, golden, tmp_path):
                 and err.endswith("\n"), (key, err)
 
 
+NO_SCHEME = ("error: no scheme applies: regular-cat: input is not a caterpillar; "
+             "spider-even: input is not a spider; spider-odd: input is not a spider; "
+             "general-cat: input is not a caterpillar\n")
+NOT_A_CATERPILLAR = "error: input is not a caterpillar\n"
+
+# (input, command, stderr) on the inputs that are not connected trees
+NON_TREE_ERRORS = [
+    ("forest", ["label"], NO_SCHEME),
+    ("forest", ["export", "--scheme", "auto"], NO_SCHEME),
+    ("forest", ["compare-mp"], NOT_A_CATERPILLAR),
+    ("forest", ["bound"], "error: input graph is disconnected\n"),
+    ("triangle", ["label"], NO_SCHEME),
+    ("triangle", ["export", "--scheme", "auto"], NO_SCHEME),
+    ("triangle", ["compare-mp"], NOT_A_CATERPILLAR),
+]
+
+
+@pytest.mark.parametrize("name, command, stderr", NON_TREE_ERRORS,
+                         ids=[_key(name, command) for name, command, _ in NON_TREE_ERRORS])
+def test_non_tree_names_every_reason(name, command, stderr, tmp_path):
+    # a graph that is not a connected tree fails each scheme row like any
+    # other tree of the wrong class, so each row gives its own reason
+    assert _run(name, command, tmp_path) == (2, "", stderr)
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from diffcolor import (MAX_N, CaterpillarShape, GraphParseError, NotATreeError,
+from diffcolor import (MAX_N, CaterpillarShape, GraphParseError,
                        SizeLimitError, SpiderShape, Tree, bipartition_sizes,
                        gen_caterpillar, gen_random_caterpillar,
                        gen_regular_caterpillar, gen_spider, label_auto,
@@ -327,10 +327,8 @@ class TestRecognizeCaterpillar:
         assert shape.spine_vertices == (4, 2, 5)
 
     def test_requires_connected_tree(self):
-        with pytest.raises(NotATreeError):
-            recognize_caterpillar(Tree(4, ((0, 1), (2, 3))))
-        with pytest.raises(NotATreeError):
-            recognize_caterpillar(Tree(3, ((0, 1), (1, 2), (0, 2))))
+        assert recognize_caterpillar(Tree(4, ((0, 1), (2, 3)))) is None
+        assert recognize_caterpillar(Tree(3, ((0, 1), (1, 2), (0, 2)))) is None
 
 
 def _zero_swapped(tree, x):
@@ -396,8 +394,9 @@ class TestRecognizeSpider:
         assert recognize_spider(Tree(2, ((0, 1),))) is None
 
     def test_requires_connected_tree(self):
-        with pytest.raises(NotATreeError):
-            recognize_spider(Tree(4, ((0, 1), (2, 3))))
+        assert recognize_spider(Tree(4, ((0, 1), (2, 3)))) is None
+        # a 4-cycle with a pendant vertex has exactly one vertex of degree 3
+        assert recognize_spider(Tree(5, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4)))) is None
 
 
 class TestGenerators:
@@ -669,9 +668,8 @@ class TestDerivedCache:
         assert recognize_spider(t) is recognize_spider(t)
 
     def test_recognition_still_checks_tree(self):
-        forest = Tree(4, ((0, 1), (2, 3)))
+        # two paths of 3: each component alone is a caterpillar and a spider
+        forest = Tree(6, ((0, 1), (1, 2), (3, 4), (4, 5)))
         for _ in range(2):
-            with pytest.raises(NotATreeError):
-                recognize_caterpillar(forest)
-            with pytest.raises(NotATreeError):
-                recognize_spider(forest)
+            assert recognize_caterpillar(forest) is None
+            assert recognize_spider(forest) is None

@@ -1,10 +1,11 @@
 """Hypothesis properties of recognition, evaluation, the schemes and the
 graph file format on caterpillars and spiders (n <= 200) with randomly
 permuted vertex ids; of the coloring and component count on random trees,
-forests and graphs with one cycle; of both recognizers against their
-adjacency-list reference on trees up to n ~ 2000; and of every applicable
-scheme against its guarantee and the best bound on caterpillars and
-parity-uniform spiders up to n ~ 4000."""
+forests and graphs with one cycle; of every layer on forests of several trees
+and on trees plus one edge, none of which is a caterpillar or a spider; of
+both recognizers against their adjacency-list reference on trees up to
+n ~ 2000; and of every applicable scheme against its guarantee and the best
+bound on caterpillars and parity-uniform spiders up to n ~ 4000."""
 
 import random
 
@@ -67,30 +68,30 @@ def _pruefer_edges(rng, n):
 
 
 @st.composite
-def pruefer_trees(draw, max_n):
-    n = draw(st.integers(1, max_n))
+def pruefer_trees(draw, max_n, min_n=1):
+    n = draw(st.integers(min_n, max_n))
     return Tree(n, _pruefer_edges(random.Random(draw(seeds)), n))
 
 
 @st.composite
-def forests(draw):
+def forests(draw, min_trees=1, max_trees=8):
     """A disjoint union of random trees (isolated vertices included); the
     relabeled strategy shuffles the ids across the trees."""
     rng = random.Random(draw(seeds))
     edges = []
     n = 0
-    for size in draw(st.lists(st.integers(1, 30), min_size=1, max_size=8)):
+    for size in draw(st.lists(st.integers(1, 30), min_size=min_trees, max_size=max_trees)):
         edges += [(n + u, n + v) for u, v in _pruefer_edges(rng, size)]
         n += size
     return Tree(n, edges)
 
 
 @st.composite
-def maybe_extra_edge(draw, graphs):
-    """A graph from graphs, as drawn or with one random edge it lacks, which
-    closes a cycle (odd or even) or joins two components."""
+def maybe_extra_edge(draw, graphs, always=False):
+    """A graph from graphs, as drawn (never when always) or with one random
+    edge it lacks, which closes a cycle (odd or even) or joins two components."""
     t = draw(graphs)
-    if not draw(st.booleans()) or 2 * t.m == t.n * (t.n - 1):  # kept, or complete
+    if not (always or draw(st.booleans())) or 2 * t.m == t.n * (t.n - 1):  # kept, or complete
         return t
     rng = random.Random(draw(seeds))
     while (edge := tuple(sorted(rng.sample(range(t.n), 2)))) in t.edges:
@@ -117,6 +118,26 @@ def test_coloring_matches_the_reference_search(tree):
         peeled = tree._coloring[0]
         assert all(peeled[u] != peeled[v] for u, v in tree.edges)
     assert tree.degrees() == [len(nbrs) for nbrs in tree.adjacency()]
+
+
+@given(relabeled(forests(2, 4)
+                 | maybe_extra_edge(pruefer_trees(200, min_n=3), always=True)))
+def test_non_trees_fail_every_layer(graph):
+    """A forest of several trees, or a tree plus one edge (a cycle), is neither
+    a caterpillar nor a spider: each scheme row and label_auto give their
+    reasons, and a connected one gets only the bound every graph has."""
+    assert not graph.is_tree()
+    assert recognize_caterpillar(graph) is None and recognize_spider(graph) is None
+    for name, (shape_class, *_) in SCHEMES.items():
+        with pytest.raises(NotApplicable, match=f"^input is not a {shape_class}$"):
+            run_scheme(graph, name)
+    with pytest.raises(NotApplicable, match="^no scheme applies: regular-cat: "):
+        label_auto(graph)
+    if graph.is_connected():
+        assert upper_bound_report(graph).entries == (("thm1", graph.n // 2),)
+    else:
+        with pytest.raises(ValueError, match="disconnected"):
+            upper_bound_report(graph)
 
 
 @st.composite

@@ -6,8 +6,7 @@ import time
 import pytest
 
 from diffcolor import (CaterpillarShape, MarkingState, NotApplicable,
-                       NotATreeError, SchemeError, SpiderShape,
-                       Tree, differential_value, gen_caterpillar,
+                       SchemeError, SpiderShape, Tree, differential_value, gen_caterpillar,
                        gen_random_caterpillar, gen_regular_caterpillar,
                        gen_spider, label_auto,
                        label_general_caterpillar, label_regular_caterpillar,
@@ -596,13 +595,39 @@ def test_scheme_table_agrees_with_label_auto():
             assert all(f"{name}: " in str(exc.value) for name in SCHEMES)
 
 
-def test_forest_is_not_a_tree_for_any_row():
+def test_forest_fails_every_row_with_its_reason():
     forest = Tree(4, ((0, 1), (2, 3)))
-    for name in SCHEMES:
-        with pytest.raises(NotATreeError):
+    reasons = []
+    for name, (shape_class, *_) in SCHEMES.items():
+        with pytest.raises(NotApplicable) as exc:
             run_scheme(forest, name)
-    with pytest.raises(NotATreeError):
+        assert str(exc.value) == f"input is not a {shape_class}"
+        reasons.append(f"{name}: {exc.value}")
+    assert reasons == ["regular-cat: input is not a caterpillar",
+                       "spider-even: input is not a spider",
+                       "spider-odd: input is not a spider",
+                       "general-cat: input is not a caterpillar"]
+    with pytest.raises(NotApplicable) as exc:
         label_auto(forest)
+    assert str(exc.value) == "no scheme applies: " + "; ".join(reasons)
+
+
+def test_shapeless_row_labels_a_forest(monkeypatch):
+    """A row whose reader hands the draft the Tree itself, or None, fits the
+    table unchanged: a scheme for every forest needs no shape."""
+    def draft(t):
+        return schemes._number(t.n, range(t.n)), 1  # any bijection separates by 1
+    row = ("forest", lambda t: t if t.is_forest() else None, draft, "unknown")
+    monkeypatch.setitem(SCHEMES, "forest", row)
+    forest = Tree(5, ((0, 1), (2, 3), (3, 4)))
+    assert run_scheme(forest, "forest") == label_auto(forest)
+    assert label_auto(forest).to_json() == {
+        "scheme": "forest", "labels": [1, 2, 3, 4, 5], "value": 1,
+        "guarantee": 1, "optimal": "unknown"}
+    triangle = Tree(3, ((0, 1), (1, 2), (0, 2)))
+    with pytest.raises(NotApplicable) as exc:
+        label_auto(triangle)
+    assert str(exc.value).endswith("; forest: input is not a forest")
 
 
 def test_label_auto_atlas_digest():
