@@ -8,11 +8,9 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections import defaultdict
 from collections.abc import Iterator
-from functools import cached_property, reduce
-from itertools import accumulate, chain, compress
-from operator import xor
+from functools import cached_property
+from itertools import accumulate, chain, compress, groupby
 
 from ._record import Record
 
@@ -56,7 +54,7 @@ class Tree(Record):
 
     Despite the name, arbitrary simple graphs are representable; operations
     that need a connected tree (or forest) check and raise explicitly; the
-    recognizers answer None off connected trees, as for a tree of another class.
+    cached shapes, and so the recognizers, are None off connected trees.
     edges is a sequence of vertex pairs; endpoints must be ints (not bools).
     Edges are normalized to (min, max) at construction.
 
@@ -180,11 +178,11 @@ class Tree(Record):
 
     @cached_property
     def _caterpillar(self) -> CaterpillarShape | None:
-        return _caterpillar_shape(self)
+        return _caterpillar_shape(self) if self.is_tree() else None
 
     @cached_property
     def _spider(self) -> SpiderShape | None:
-        return _spider_shape(self)
+        return _spider_shape(self) if self.is_tree() else None
 
     def adjacency(self) -> list[list[int]]:
         """Neighbor lists, built afresh on each call; the caller may modify them."""
@@ -343,9 +341,15 @@ def write_graph(t: Tree) -> str:
 
 def _is_int_run(values, first: int, n: int) -> bool:
     """Whether values are the ints first..first+n-1, each once; a bool or
-    another subclass of int does not count. Linear, in builtins only."""
-    return (len(values) == n and set(map(type, values)) == {int} and len(set(values)) == n
-            and min(values) == first and max(values) == first + n - 1)
+    another subclass of int does not count. Linear, in builtins only, with a
+    flag per value for the ones seen, not a hash set."""
+    if not (len(values) == n and set(map(type, values)) == {int}
+            and min(values) == first and max(values) == first + n - 1):
+        return False
+    seen = [False] * (first + n)
+    for v in values:
+        seen[v] = True
+    return seen.count(True) == n
 
 
 def _check_vertices(*blocks: tuple[int, ...]) -> None:
@@ -469,7 +473,7 @@ def recognize_caterpillar(t: Tree) -> CaterpillarShape | None:
     first. Degenerate cases: n=1 -> one spine vertex with no legs; n=2 -> the
     smaller id is the spine vertex, the other its leg.
     """
-    return t._caterpillar if t.is_tree() else None
+    return t._caterpillar
 
 
 def _caterpillar_shape(t: Tree) -> CaterpillarShape | None:
@@ -478,25 +482,23 @@ def _caterpillar_shape(t: Tree) -> CaterpillarShape | None:
     if t.n == 2:
         return CaterpillarShape((0,), ((1,),))
     deg, nx = t._degxor
-    legs: defaultdict[int, list[int]] = defaultdict(list)
-    for leaf in _leaves(deg):
-        legs[nx[leaf]].append(leaf)
-    s = t.n - sum(map(len, legs.values()))
-    if s == 1:
+    parent = nx.__getitem__
+    leaves = sorted(_leaves(deg), key=parent)  # by neighbour, ascending within (stable)
+    legs = {v: tuple(vlegs) for v, vlegs in groupby(leaves, parent)}  # in ascending v
+    # The non-leaves form a subtree, a path exactly when it has two ends; an
+    # end has one non-leaf neighbour, so at least one leg. Two or more
+    # non-leaves thus put legs on two vertices or more.
+    if len(legs) == 1:
         spine = list(legs)
     else:
-        # The non-leaves form a subtree, a path exactly when it has two ends;
-        # an end has one non-leaf neighbour, so at least one leg.
         ends = [v for v, vlegs in legs.items() if deg[v] - len(vlegs) == 1]
         if len(ends) != 2:
             return None
-        prev = min(ends)
-        cur = reduce(xor, legs[prev], nx[prev])
-        spine = [prev, cur]
-        for _ in range(s - 2):  # XOR out prev and cur's legs: cur's other non-leaf neighbour
-            prev, cur = cur, reduce(xor, legs.get(cur, ()), nx[cur] ^ prev)
-            spine.append(cur)
-    return CaterpillarShape(tuple(spine), tuple(tuple(legs.get(v, ())) for v in spine))
+        inner = list(nx)  # each non-leaf's XOR of its non-leaf neighbours
+        for leaf in leaves:
+            inner[nx[leaf]] ^= leaf
+        spine = _walk(inner, *ends)  # from the end with the smaller id
+    return CaterpillarShape(tuple(spine), tuple(legs.get(v, ()) for v in spine))
 
 
 def recognize_spider(t: Tree) -> SpiderShape | None:
@@ -508,7 +510,7 @@ def recognize_spider(t: Tree) -> SpiderShape | None:
     p=2, centered at a most-balanced interior vertex (ties -> smaller id).
     Single vertices and single edges are rejected.
     """
-    return t._spider if t.is_tree() else None
+    return t._spider
 
 
 def _spider_shape(t: Tree) -> SpiderShape | None:

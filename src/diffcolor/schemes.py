@@ -186,11 +186,21 @@ class MarkingState(Record):
                "middle_low_legs", "middle_high_legs", "pseudo_leg_owner")
 
     def validate(self, shape: CaterpillarShape) -> None:
+        """Check the partition, balance, low-side and high-side rules, in
+        that order. The groups are read in place, not copied: one slot per
+        vertex holds the number of the group that took it, so a vertex in no
+        group, in two groups or outside 0..n-1 breaks the partition, and a
+        middle leg listed twice within its group does not."""
         n = shape.n
-        groups = [set(self.low_spine), set(self.high_spine), {self.middle},
-                  set(self.low_legs), set(self.high_legs),
-                  set(self.middle_low_legs), set(self.middle_high_legs)]
-        if sum(len(g) for g in groups) != n or set().union(*groups) != set(range(n)):
+        groups = (self.low_spine, self.high_spine, (self.middle,), self.low_legs,
+                  self.high_legs, self.middle_low_legs, self.middle_high_legs)
+        taken = [0] * n
+        for number, group in enumerate(groups, start=1):
+            for v in group:
+                if not 0 <= v < n or taken[v] not in (0, number):
+                    raise SchemeError("marking groups do not partition the vertices")
+                taken[v] = number
+        if 0 in taken:
             raise SchemeError("marking groups do not partition the vertices")
         lows = len(self.low_spine) + len(self.low_legs)
         highs = len(self.high_spine) + len(self.high_legs)
@@ -203,7 +213,9 @@ class MarkingState(Record):
 
 
 def mark_caterpillar(shape: CaterpillarShape) -> MarkingState:
-    """Run the marking phase and return the vertex-level groups, validated."""
+    """Run the marking phase and return the vertex-level groups, validated.
+    Each group is built once, directly as its frozenset, and validate checks
+    the groups without copying them."""
     s, n = shape.s, shape.n
     counts = shape.leg_counts
     # Alternate sides along the spine, then scan right to left for the vertex
@@ -234,32 +246,26 @@ def mark_caterpillar(shape: CaterpillarShape) -> MarkingState:
         if i != mid and counts[i] == 0 and i - 1 not in pseudo_owner:
             pseudo_owner[i] = mid if i == mid + 1 else i + 1
 
+    # Each position but mid keeps its spine slot, its legs going to the other
+    # side, or is a pseudo-leg of an owner other than mid, on the side
+    # opposite that owner's slot. Each group is built once, as its frozenset.
     spine, legs = shape.spine_vertices, shape.leg_vertices
-    low_spine, high_spine, low_legs, high_legs = set(), set(), set(), set()
-    for i in range(s):
-        if i == mid:
-            continue
-        if pseudo_owner.get(i, mid) == mid:
-            (low_spine if low_side[i] else high_spine).add(spine[i])
-            (high_legs if low_side[i] else low_legs).update(legs[i])
-        else:
-            (high_legs if low_side[pseudo_owner[i]] else low_legs).add(spine[i])
+    slots = [i for i in range(s) if i != mid and pseudo_owner.get(i, mid) == mid]
+    moved = [i for i, o in pseudo_owner.items() if o != mid]
+    low_spine = frozenset(spine[i] for i in slots if low_side[i])
+    high_spine = frozenset(spine[i] for i in slots if not low_side[i])
+    low_legs = frozenset(chain(*(legs[i] for i in slots if not low_side[i]),
+                               (spine[i] for i in moved if not low_side[pseudo_owner[i]])))
+    high_legs = frozenset(chain(*(legs[i] for i in slots if low_side[i]),
+                                (spine[i] for i in moved if low_side[pseudo_owner[i]])))
     low_mid_count = (n + 1) // 2 - len(low_spine) - len(low_legs) - 1
     high_mid_count = n // 2 - len(high_spine) - len(high_legs)
     if not (0 <= low_mid_count and 0 <= high_mid_count
             and low_mid_count + high_mid_count == counts[mid]):
         raise SchemeError("middle-leg split sizes fall outside 0..legs(middle)")
-    state = MarkingState(
-        low_spine=frozenset(low_spine),
-        high_spine=frozenset(high_spine),
-        middle=spine[mid],
-        low_legs=frozenset(low_legs),
-        high_legs=frozenset(high_legs),
-        middle_low_legs=tuple(legs[mid][:low_mid_count]),
-        middle_high_legs=tuple(legs[mid][low_mid_count:]),
-        pseudo_leg_owner=tuple(sorted((spine[i], spine[o])
-                                      for i, o in pseudo_owner.items())),
-    )
+    state = MarkingState(low_spine, high_spine, spine[mid], low_legs, high_legs,
+                         tuple(legs[mid][:low_mid_count]), tuple(legs[mid][low_mid_count:]),
+                         tuple(sorted((spine[i], spine[o]) for i, o in pseudo_owner.items())))
     state.validate(shape)
     return state
 

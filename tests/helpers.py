@@ -144,7 +144,8 @@ def path_graph(n):
 @contextlib.contextmanager
 def small_peak(limit=1 << 20):
     """Fails unless the block's traced allocations peak below limit bytes: a
-    size refusal must come before anything of the refused size is built."""
+    size refusal must come before anything of the refused size is built, and
+    a labeling holds its transient memory to a budget per vertex."""
     tracemalloc.start()
     try:
         yield

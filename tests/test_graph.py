@@ -331,6 +331,23 @@ class TestRecognizeCaterpillar:
         assert recognize_caterpillar(Tree(3, ((0, 1), (1, 2), (0, 2)))) is None
 
 
+# Forests and graphs with a cycle, some with as many edges as a tree on n vertices.
+NON_TREES = [Tree(4, ((0, 1), (2, 3))), Tree(7, ((0, 1), (1, 2), (3, 4), (4, 5), (4, 6))),
+             Tree(3, ((0, 1), (1, 2), (0, 2))), Tree(4, ((0, 1), (1, 2), (0, 2))),
+             Tree(5, ((0, 1), (1, 2), (2, 3), (0, 3), (0, 4)))]
+
+
+@pytest.mark.parametrize("tree", NON_TREES,
+                         ids=["two-edges", "path-and-star", "triangle",
+                              "triangle-and-isolated", "square-with-pendant"])
+def test_cached_shapes_are_none_off_connected_trees(tree):
+    """The cached shapes carry the connected-tree guard themselves, so a
+    direct reader gets None, as the recognizers do, not an error from the
+    code that builds a shape."""
+    assert tree._caterpillar is None
+    assert tree._spider is None
+
+
 def _zero_swapped(tree, x):
     """tree with the ids 0 and x exchanged."""
     swap = {0: x, x: 0}

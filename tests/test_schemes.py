@@ -12,10 +12,11 @@ from diffcolor import (CaterpillarShape, MarkingState, NotApplicable,
                        label_general_caterpillar, label_regular_caterpillar,
                        label_spider_all_even, label_spider_all_odd,
                        mark_caterpillar, mp_value, parse_graph,
-                       recognize_caterpillar, upper_bound_report, write_graph)
+                       recognize_caterpillar, recognize_spider, upper_bound_report,
+                       write_graph)
 from diffcolor import schemes
 from diffcolor.schemes import SCHEMES, _finish, run_scheme
-from helpers import LABEL_SHAPE, free_trees, length_multisets, path_graph
+from helpers import LABEL_SHAPE, free_trees, length_multisets, path_graph, small_peak
 
 
 def labels_of(result):
@@ -227,11 +228,12 @@ class TestMarkingCheck:
     # repeated middle leg, which the set-based partition check does not see.
     @pytest.mark.parametrize("changes, message", [
         (dict(middle_low_legs=(5,)), "do not partition the vertices"),
+        (dict(high_legs=frozenset({2, 3, 8})), "do not partition the vertices"),
         (dict(low_legs=frozenset({5, 6, 7}), middle_low_legs=(), middle_high_legs=()),
          "violates the balance condition"),
         (dict(middle_low_legs=(5, 6, 7), middle_high_legs=()), "low-side total"),
         (dict(middle_high_legs=(7, 7)), "high-side total"),
-    ], ids=["partition", "balance", "low-side", "high-side"])
+    ], ids=["partition", "outside-0..n-1", "balance", "low-side", "high-side"])
     def test_each_rule_raises(self, changes, message):
         _, shape = gen_caterpillar([3, 3])
         with pytest.raises(SchemeError, match=message):
@@ -555,6 +557,20 @@ def test_large_n_bracket(family, scheme):
         assert result.scheme == scheme
         assert result.guarantee <= result.value <= upper_bound_report(tree).best
         assert result.value == differential_value(tree, result.labeling.labeling)
+
+
+def test_general_cat_memory_tracks_its_output():
+    """label_auto on a relabeled sec53 caterpillar (k = 1000, delta = 8,
+    n = 11,002), recognition cached, builds each marking group once and
+    checks the groups without copies: its traced peak stays under 200 bytes
+    per vertex."""
+    tree = _shuffled(random.Random(53), gen_caterpillar([1 if i % 2 == 0 else 8
+                                                         for i in range(2001)])[0])
+    assert tree.n == 11_002
+    recognize_caterpillar(tree)  # both shapes are cached before tracing starts
+    recognize_spider(tree)
+    with small_peak(200 * tree.n):
+        assert label_auto(tree).scheme == "general-cat"
 
 
 @pytest.mark.parametrize("lengths", [[2] * 25000 + [50000], [1] * 25000 + [50001]],
