@@ -10,7 +10,7 @@ import re
 import sys
 from collections.abc import Iterator
 from functools import cached_property
-from itertools import accumulate, chain, compress, groupby
+from itertools import accumulate, chain, compress, groupby, islice
 
 from ._record import Record
 
@@ -213,11 +213,8 @@ class Tree(Record):
 _CANONICAL_HEADER = re.compile(r"p ([0-9]+) ([0-9]+)\n")
 # A newline followed by neither a canonical edge line nor the end of the text.
 _NOT_EDGE_LINE = re.compile(r"\n(?!e [0-9]+ [0-9]+\n|\Z)")
-# The lines _parse_lines skips (comments, empty lines), then a header line it
-# accepts. Each line break matches one way ("\r" alone only where no "\n"
-# follows), so a failed match takes linear time.
-_LEADING_HEADER = re.compile(
-    r"(?:(?:c(?: [^\r\n]*)?)?(?:\r\n|\r(?!\n)|\n))*p ([0-9]+) ([0-9]+)(?:\r\n|\r|\n|\Z)")
+# A line (group 1) and its line break; the last match is always empty.
+_LINE = re.compile(r"([^\r\n]*)(?:\r\n|\r|\n|\Z)")
 
 
 def parse_graph(text: str) -> Tree:
@@ -233,11 +230,12 @@ def parse_graph(text: str) -> Tree:
     The canonical text, exactly what write_graph emits ("p N M", then only
     "e U V" lines, in ASCII digits and single spaces, each ending in a
     newline), is read by one regex search and one json.loads. Every other
-    text is read line by line: comments, other line breaks, a missing final
-    newline, and a canonical text whose numbers JSON refuses (leading zeros,
-    more digits than int() reads), whose edge count is not M or whose edges
-    Tree rejects. Only the line reading raises GraphParseError. A text that
-    falls back pays for the failed fast-path attempt as well.
+    text is read line by line, each line only when the loop reaches it:
+    comments, other line breaks, a missing final newline, and a canonical
+    text whose numbers JSON refuses (leading zeros, more digits than int()
+    reads), whose edge count is not M or whose edges Tree rejects. Only the
+    line reading raises GraphParseError. A text that falls back pays for the
+    failed fast-path attempt as well.
     """
     tree = _parse_canonical(text)
     return tree if tree is not None else _parse_lines(text)
@@ -270,66 +268,54 @@ def _parse_canonical(text: str) -> Tree | None:
 
 
 def _parse_lines(text: str) -> Tree:
-    """parse_graph line by line: the reference reading, and the only one that
-    raises GraphParseError."""
-    header = _LEADING_HEADER.match(text)
-    if header is not None:  # checked ahead of the split, which costs as much as the edges
-        try:
-            declared, _ = map(int, header.groups())
-        except ValueError:  # a number int() refuses: the loop reports it with its line
-            pass
-        else:
-            check_vertex_count(declared)
+    """parse_graph line by line, each line read as the loop reaches it: the
+    reference reading, and the only one that raises GraphParseError."""
     n = m = None
     header_line = 0
     edges: list[tuple[int, int]] = []
-    lines = re.split(r"\r\n|\r|\n", text)
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, match in enumerate(_LINE.finditer(text), start=1):
+        line = match[1]
         fields = line.split(" ")
-        if fields[0] == "c" or not line:  # "c" alone, "c ...", or an empty line
+        kind = fields[0]
+        if kind == "c" or not line:  # "c" alone, "c ...", or an empty line
             continue
-        numeric = (len(fields) == 3 and line.isascii()
-                   and fields[1].isdigit() and fields[2].isdigit())
-        if fields[0] == "e":
+        if kind == "e":
             if n is None:
                 raise GraphParseError(line_no, "edge line before header")
-            if not numeric:
-                raise GraphParseError(line_no, f"malformed edge line {line!r}")
-            if len(edges) == m:
-                raise GraphParseError(line_no, f"more than the declared {m} edges")
-            try:
-                edges.append((int(fields[1]) - 1, int(fields[2]) - 1))
-            except ValueError:
-                raise _long_number(line_no) from None
-        elif fields[0] == "p":
+        elif kind == "p":
             if n is not None:
                 raise GraphParseError(line_no, "duplicate header")
-            if not numeric:
-                raise GraphParseError(line_no, f"malformed header {line!r}")
-            try:
-                n, m = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise _long_number(line_no) from None
-            check_vertex_count(n)
-            header_line = line_no
         else:
             raise GraphParseError(line_no, f"malformed line {line!r}")
+        if not (len(fields) == 3 and line.isascii()
+                and fields[1].isdigit() and fields[2].isdigit()):
+            what = "edge line" if kind == "e" else "header"
+            raise GraphParseError(line_no, f"malformed {what} {line!r}")
+        if len(edges) == m:  # m is None until the header is read
+            raise GraphParseError(line_no, f"more than the declared {m} edges")
+        try:
+            u, v = int(fields[1]), int(fields[2])
+        except ValueError:  # more digits than int() reads
+            raise GraphParseError(
+                line_no, f"number with more than {sys.get_int_max_str_digits()} digits") from None
+        if kind == "e":
+            edges.append((u - 1, v - 1))
+        else:
+            check_vertex_count(u)
+            n, m, header_line = u, v, line_no
     if n is None:
         raise GraphParseError(1, "missing header")
     if len(edges) != m:
         raise GraphParseError(header_line, f"header declares {m} edges, found {len(edges)}")
     try:
-        return Tree(n, tuple(edges))
-    except _EdgeError as exc:
-        line_no = [no for no, line in enumerate(lines, start=1) if line[:1] == "e"][exc.index]
-        raise GraphParseError(line_no, f"{exc.reason}: {lines[line_no - 1]!r}") from None
+        return Tree(n, edges)
+    except _EdgeError as exc:  # read the lines again, up to the rejected edge's
+        numbered = enumerate((match[1] for match in _LINE.finditer(text)), start=1)
+        e_lines = ((no, line) for no, line in numbered if line[:1] == "e")
+        line_no, line = next(islice(e_lines, exc.index, None))
+        raise GraphParseError(line_no, f"{exc.reason}: {line!r}") from None
     except ValueError as exc:  # a vertex count Tree rejects
         raise GraphParseError(header_line, str(exc)) from None
-
-
-def _long_number(line_no: int) -> GraphParseError:
-    """int() refuses a decimal string over sys.get_int_max_str_digits() digits."""
-    return GraphParseError(line_no, f"number with more than {sys.get_int_max_str_digits()} digits")
 
 
 def write_graph(t: Tree) -> str:

@@ -113,14 +113,15 @@ class TestSizeLimit:
 
     @pytest.mark.parametrize("text", [
         OVER_LIMIT, f"p {MAX_N + 1} 2\ne 1 2\ne x y\n", "c x\n" + OVER_LIMIT,
-        "c\n\r\n\rc y\r" + OVER_LIMIT,
-    ], ids=["canonical", "later-bad-line", "comment-first", "blank-and-comment-lines"])
+        "c\n\r\n\rc y\r" + OVER_LIMIT, "c\n" * 300_000 + OVER_LIMIT,
+    ], ids=["canonical", "later-bad-line", "comment-first", "blank-and-comment-lines",
+            "many-comments-first"])
     def test_header_refused_before_the_edges(self, text):
         with small_peak(), pytest.raises(SizeLimitError, match=f"^n={MAX_N + 1} exceeds"):
             parse_graph(text)
 
-    # the header is read ahead of the other lines, but an earlier line's
-    # error, or the header's own, still comes first
+    # the lines are read in order, so the size limit is checked when the
+    # header is reached: an earlier line's error, or the header's own, comes first
     @pytest.mark.parametrize("text, message", [
         (f"c x\ne 1 2\np {MAX_N + 1} 1\n", "line 2: edge line before header"),
         (f"x\np {MAX_N + 1} 0\n", "line 1: malformed line 'x'"),
@@ -132,6 +133,16 @@ class TestSizeLimit:
         with pytest.raises(GraphParseError) as info:
             parse_graph(text)
         assert str(info.value) == message
+
+    # a line is read only when the loop reaches it, so skipping many comment
+    # lines costs no memory in proportion to them
+    @pytest.mark.parametrize("text, outcome", [
+        ("c\n" * 300_000 + "p 2 1\ne 1 2\n", "Tree(n=2, edges=((0, 1),))"),
+        ("c x\n" * 300_000 + "x\n", (GraphParseError, "line 300001: malformed line 'x'")),
+    ], ids=["valid", "bad-line-last"])
+    def test_leading_comments_read_in_small_memory(self, text, outcome):
+        with small_peak():
+            assert parse_outcome(parse_graph, text) == outcome
 
     def test_canonical_header_refused_without_a_tree(self, monkeypatch):
         def refuse(n, edges):

@@ -8,17 +8,18 @@ n ~ 2000; and of every applicable scheme against its guarantee and the best
 bound on caterpillars and parity-uniform spiders up to n ~ 4000."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from diffcolor import (SCHEMES, Labeling, NotApplicable, Tree,
-                       bipartition_sizes, differential_value, gen_caterpillar,
-                       gen_regular_caterpillar, gen_spider, label_auto,
-                       label_general_caterpillar, mark_caterpillar, parse_graph,
-                       recognize_caterpillar, recognize_spider, run_scheme,
-                       upper_bound_report, write_graph)
+from diffcolor import (SCHEMES, GraphParseError, Labeling, NotApplicable,
+                       Tree, bipartition_sizes, differential_value,
+                       gen_caterpillar, gen_regular_caterpillar, gen_spider,
+                       label_auto, label_general_caterpillar, mark_caterpillar,
+                       parse_graph, recognize_caterpillar, recognize_spider,
+                       run_scheme, upper_bound_report, write_graph)
 from diffcolor.graph import _parse_lines
 from helpers import (LABEL_SHAPE, parse_outcome, pruefer_to_edges,
                      reference_caterpillar_shape, reference_coloring,
@@ -264,6 +265,42 @@ def test_parse_agrees_with_the_line_reading(tree, at, edit, k):
     lines[i] = edit(lines[i], k)
     text = "".join(lines)
     assert parse_outcome(parse_graph, text) == parse_outcome(_parse_lines, text)
+
+
+@st.composite
+def commented_files(draw):
+    """(tree, text, bad): a relabeled tree's write_graph lines with comment
+    and empty lines put in, each line ended by a break drawn from "\n",
+    "\r\n" and "\r", the last break perhaps dropped; bad is whether one edge
+    line after the header became "e x y"."""
+    tree = draw(relabeled(caterpillars() | spiders()))
+    lines = write_graph(tree).splitlines()
+    bad = draw(st.booleans())
+    if bad:
+        lines[draw(st.integers(1, len(lines) - 1))] = "e x y"
+    comments = st.just("") | st.builds("c {}".format, st.text(st.characters(
+        blacklist_characters="\r\n"), max_size=6)) | st.just("c")
+    for at, comment in draw(st.lists(st.tuples(st.integers(0, 10**6), comments), max_size=12)):
+        lines.insert(at % (len(lines) + 1), comment)
+    breaks = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                           min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        breaks[-1] = ""
+    return tree, "".join(map(str.__add__, lines, breaks)), bad
+
+
+@given(commented_files())
+def test_comments_and_line_breaks_keep_the_tree(case):
+    """Comment and empty lines and any mix of line breaks leave the tree; a
+    malformed edge line is named by its line number in the text, where a
+    "\r" break and the "\n" of an empty line after it make one break."""
+    tree, text, bad = case
+    if bad:
+        k = re.split(r"\r\n|\r|\n", text).index("e x y") + 1
+        assert parse_outcome(parse_graph, text) == (
+            GraphParseError, f"line {k}: malformed edge line 'e x y'")
+    else:
+        assert parse_graph(text) == tree
 
 
 @given(relabeled(caterpillars() | spiders()), seeds)
