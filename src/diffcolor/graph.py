@@ -209,9 +209,7 @@ class Tree(Record):
         return self.m == self.n - self.component_count()
 
 
-# The text write_graph emits: this header, then only edge lines "e U V\n".
-_CANONICAL_HEADER = re.compile(r"p ([0-9]+) ([0-9]+)\n")
-# A newline followed by neither a canonical edge line nor the end of the text.
+# A newline followed by neither a canonical edge line "e U V\n" nor the end of the text.
 _NOT_EDGE_LINE = re.compile(r"\n(?!e [0-9]+ [0-9]+\n|\Z)")
 # A line (group 1) and its line break; the last match is always empty.
 _LINE = re.compile(r"([^\r\n]*)(?:\r\n|\r|\n|\Z)")
@@ -220,89 +218,77 @@ _LINE = re.compile(r"([^\r\n]*)(?:\r\n|\r|\n|\Z)")
 def parse_graph(text: str) -> Tree:
     """Parse the graph file format: comments "c ...", one header "p <n> <m>",
     then m edge lines "e <u> <v>" with 1-based endpoints. A line ends at
-    "\n", "\r\n" or "\r", so a comment may hold any other character. Empty
-    lines are skipped like comments; a line of spaces is malformed.
+    "\n", "\r\n" or "\r", so a comment may hold any other character. A line
+    that is empty or holds only "c" is skipped like a comment; a line of
+    spaces is malformed.
 
     Raises GraphParseError (with line number) on any format violation; the
     edge rules themselves (range, self-loop, duplicate) are Tree's. A header
     over MAX_N vertices raises SizeLimitError as soon as it is read.
 
-    The canonical text, exactly what write_graph emits ("p N M", then only
-    "e U V" lines, in ASCII digits and single spaces, each ending in a
-    newline), is read by one regex search and one json.loads. Every other
-    text is read line by line, each line only when the loop reaches it:
-    comments, other line breaks, a missing final newline, and a canonical
-    text whose numbers JSON refuses (leading zeros, more digits than int()
-    reads), whose edge count is not M or whose edges Tree rejects. Only the
-    line reading raises GraphParseError. A text that falls back pays for the
-    failed fast-path attempt as well.
+    The text is read one line at a time, each line only when the loop
+    reaches it. A header ending in "\n" may be followed by a run of
+    canonical edge lines, as write_graph emits them ("e U V\n" in ASCII
+    digits and single spaces); that run is found by one regex search and
+    decoded by one json.loads, and the loop goes on after it. A run holding
+    a number JSON refuses (leading zeros, more digits than int() reads) or
+    more than the declared edges is left to the loop, which names the line.
     """
-    tree = _parse_canonical(text)
-    return tree if tree is not None else _parse_lines(text)
-
-
-def _parse_canonical(text: str) -> Tree | None:
-    """parse_graph's fast path: the Tree of a valid canonical text, else None."""
-    header = _CANONICAL_HEADER.match(text)
-    if header is None:
-        return None
-    try:
-        n, m = map(int, header.groups())
-        check_vertex_count(n)  # ahead of the edges; a SizeLimitError is not a ValueError
-        if _NOT_EDGE_LINE.search(text, header.end() - 1):
-            return None
-        # "e 1 2\ne 2 3\n" -> "[1,2,2,3]": the C decoder makes the ints from the text
-        ints = json.loads(
-            "[" + text[header.end() + 2:-1].replace(" ", ",").replace("\ne,", ",") + "]")
-    except ValueError:  # a number with leading zeros, or longer than int() reads
-        return None
-    if len(ints) != 2 * m:
-        return None
-    pairs = iter(ints)
-    edges = [(u - 1, v - 1) for u, v in zip(pairs, pairs)]
-    del ints  # the 1-based ints are freed before Tree allocates
-    try:
-        return Tree(n, edges)
-    except ValueError:  # a vertex count or an edge Tree rejects
-        return None
-
-
-def _parse_lines(text: str) -> Tree:
-    """parse_graph line by line, each line read as the loop reaches it: the
-    reference reading, and the only one that raises GraphParseError."""
     n = m = None
-    header_line = 0
+    header_line = line_no = 0
     edges: list[tuple[int, int]] = []
-    for line_no, match in enumerate(_LINE.finditer(text), start=1):
-        line = match[1]
-        fields = line.split(" ")
-        kind = fields[0]
-        if kind == "c" or not line:  # "c" alone, "c ...", or an empty line
-            continue
-        if kind == "e":
-            if n is None:
-                raise GraphParseError(line_no, "edge line before header")
-        elif kind == "p":
-            if n is not None:
-                raise GraphParseError(line_no, "duplicate header")
-        else:
-            raise GraphParseError(line_no, f"malformed line {line!r}")
-        if not (len(fields) == 3 and line.isascii()
-                and fields[1].isdigit() and fields[2].isdigit()):
-            what = "edge line" if kind == "e" else "header"
-            raise GraphParseError(line_no, f"malformed {what} {line!r}")
-        if len(edges) == m:  # m is None until the header is read
-            raise GraphParseError(line_no, f"more than the declared {m} edges")
-        try:
-            u, v = int(fields[1]), int(fields[2])
-        except ValueError:  # more digits than int() reads
-            raise GraphParseError(
-                line_no, f"number with more than {sys.get_int_max_str_digits()} digits") from None
-        if kind == "e":
-            edges.append((u - 1, v - 1))
-        else:
+    pos = 0  # where the line loop starts; it starts again after a run of edge lines
+    while pos is not None:
+        lines, pos = enumerate(_LINE.finditer(text, pos), start=line_no + 1), None
+        for line_no, match in lines:
+            line = match[1]
+            fields = line.split(" ")
+            kind = fields[0]
+            if kind == "c" or not line:  # "c" alone, "c ...", or an empty line
+                continue
+            if kind == "e":
+                if n is None:
+                    raise GraphParseError(line_no, "edge line before header")
+            elif kind == "p":
+                if n is not None:
+                    raise GraphParseError(line_no, "duplicate header")
+            else:
+                raise GraphParseError(line_no, f"malformed line {line!r}")
+            if not (len(fields) == 3 and line.isascii()
+                    and fields[1].isdigit() and fields[2].isdigit()):
+                what = "edge line" if kind == "e" else "header"
+                raise GraphParseError(line_no, f"malformed {what} {line!r}")
+            if len(edges) == m:  # m is None until the header is read
+                raise GraphParseError(line_no, f"more than the declared {m} edges")
+            try:
+                u, v = int(fields[1]), int(fields[2])
+            except ValueError:  # more digits than int() reads
+                raise GraphParseError(line_no, "number with more than "
+                                      f"{sys.get_int_max_str_digits()} digits") from None
+            if kind == "e":
+                edges.append((u - 1, v - 1))
+                continue
             check_vertex_count(u)
             n, m, header_line = u, v, line_no
+            start = match.end()
+            if text[start - 1:start + 2] != "\ne ":  # a run follows only "\n" and "e "
+                continue
+            stop = _NOT_EDGE_LINE.search(text, start - 1)
+            end = stop.end() if stop else len(text)  # the run is text[start:end], perhaps empty
+            try:
+                # "e 1 2\ne 2 3\n" -> "[1,2,2,3]": the C decoder makes the ints from the text
+                ints = json.loads(
+                    "[" + text[start + 2:end - 1].replace(" ", ",").replace("\ne,", ",") + "]")
+            except ValueError:  # a number with leading zeros, or longer than int() reads
+                continue
+            if len(ints) > 2 * m:  # the loop names the first line past the m-th edge
+                continue
+            pairs = iter(ints)
+            edges = [(u - 1, v - 1) for u, v in zip(pairs, pairs)]
+            del ints  # the 1-based ints are freed before Tree allocates
+            line_no += len(edges)
+            pos = end
+            break
     if n is None:
         raise GraphParseError(1, "missing header")
     if len(edges) != m:

@@ -5,7 +5,9 @@ naive_dc deliberately re-implements the objective from scratch (permutations,
 inline abs differences) so it can serve as an independent check on the
 package's exact solver. reference_coloring, reference_caterpillar_shape and
 reference_spider_shape work from neighbour lists, as the package did before
-it read degrees and neighbour XORs instead.
+it read degrees and neighbour XORs instead. reference_parse_lines reads a
+graph file one line at a time throughout, as the package did before it read
+a run of edge lines in bulk.
 """
 
 import collections
@@ -13,12 +15,15 @@ import contextlib
 import functools
 import heapq
 import itertools
+import sys
 import tracemalloc
-from itertools import filterfalse
+from itertools import filterfalse, islice
 
-from diffcolor import (CaterpillarShape, SizeLimitError, SpiderShape, Tree,
-                       label_general_caterpillar, label_regular_caterpillar,
-                       label_spider_all_even, label_spider_all_odd)
+from diffcolor import (CaterpillarShape, GraphParseError, SizeLimitError,
+                       SpiderShape, Tree, label_general_caterpillar,
+                       label_regular_caterpillar, label_spider_all_even,
+                       label_spider_all_odd)
+from diffcolor.graph import _LINE, _EdgeError, check_vertex_count
 
 # scheme name -> the public function that labels a shape and checks on its edges
 LABEL_SHAPE = {"regular-cat": label_regular_caterpillar, "spider-even": label_spider_all_even,
@@ -141,6 +146,14 @@ def path_graph(n):
     return Tree(n, tuple((i, i + 1) for i in range(n - 1)))
 
 
+def shuffled(rng, tree):
+    """tree with its vertex ids permuted (rng.sample) and its edges shuffled."""
+    perm = rng.sample(range(tree.n), tree.n)
+    edges = [(perm[u], perm[v]) for u, v in tree.edges]
+    rng.shuffle(edges)
+    return Tree(tree.n, tuple(edges))
+
+
 @contextlib.contextmanager
 def small_peak(limit=1 << 20):
     """Fails unless the block's traced allocations peak below limit bytes: a
@@ -247,3 +260,54 @@ def reference_spider_shape(t):
         center = path[min(range(1, t.n - 1), key=lambda i: (abs(t.n - 1 - 2 * i), path[i]))]
     arms = tuple(arm(center, first) for first in sorted(adj[center]))
     return SpiderShape(center, arms)
+
+
+def reference_parse_lines(text: str) -> Tree:
+    """The line reader as the package had it before the edge run was read in
+    bulk: parse_graph line by line, each line read as the loop reaches it."""
+    n = m = None
+    header_line = 0
+    edges: list[tuple[int, int]] = []
+    for line_no, match in enumerate(_LINE.finditer(text), start=1):
+        line = match[1]
+        fields = line.split(" ")
+        kind = fields[0]
+        if kind == "c" or not line:  # "c" alone, "c ...", or an empty line
+            continue
+        if kind == "e":
+            if n is None:
+                raise GraphParseError(line_no, "edge line before header")
+        elif kind == "p":
+            if n is not None:
+                raise GraphParseError(line_no, "duplicate header")
+        else:
+            raise GraphParseError(line_no, f"malformed line {line!r}")
+        if not (len(fields) == 3 and line.isascii()
+                and fields[1].isdigit() and fields[2].isdigit()):
+            what = "edge line" if kind == "e" else "header"
+            raise GraphParseError(line_no, f"malformed {what} {line!r}")
+        if len(edges) == m:  # m is None until the header is read
+            raise GraphParseError(line_no, f"more than the declared {m} edges")
+        try:
+            u, v = int(fields[1]), int(fields[2])
+        except ValueError:  # more digits than int() reads
+            raise GraphParseError(
+                line_no, f"number with more than {sys.get_int_max_str_digits()} digits") from None
+        if kind == "e":
+            edges.append((u - 1, v - 1))
+        else:
+            check_vertex_count(u)
+            n, m, header_line = u, v, line_no
+    if n is None:
+        raise GraphParseError(1, "missing header")
+    if len(edges) != m:
+        raise GraphParseError(header_line, f"header declares {m} edges, found {len(edges)}")
+    try:
+        return Tree(n, edges)
+    except _EdgeError as exc:  # read the lines again, up to the rejected edge's
+        numbered = enumerate((match[1] for match in _LINE.finditer(text)), start=1)
+        e_lines = ((no, line) for no, line in numbered if line[:1] == "e")
+        line_no, line = next(islice(e_lines, exc.index, None))
+        raise GraphParseError(line_no, f"{exc.reason}: {line!r}") from None
+    except ValueError as exc:  # a vertex count Tree rejects
+        raise GraphParseError(header_line, str(exc)) from None

@@ -15,21 +15,14 @@ import random
 import re
 from pathlib import Path
 
-from diffcolor import (Tree, gen_caterpillar, gen_random_caterpillar,
+from diffcolor import (gen_caterpillar, gen_random_caterpillar,
                        label_general_caterpillar, mark_caterpillar,
                        recognize_caterpillar)
-from helpers import free_trees
+from helpers import free_trees, shuffled
 
 # sha256 over all shapes of the label lists, and of the marking fields
 LABELS_SHA = "3141a9f22166317fce3c938531715d27609db59ffce8ed9a2306dadfd63ccb6b"
 MARKING_SHA = "b6a1b0de96c434fcc86cd82944c9a3b659308b9d321d514551f59cf43b8da3c1"
-
-
-def _shuffled(rng, tree):
-    perm = rng.sample(range(tree.n), tree.n)
-    edges = [(perm[u], perm[v]) for u, v in tree.edges]
-    rng.shuffle(edges)
-    return Tree(tree.n, tuple(edges))
 
 
 def _trees():
@@ -37,7 +30,7 @@ def _trees():
         yield from free_trees(n)
     rng = random.Random(8080)
     for _ in range(300):
-        yield _shuffled(rng, gen_random_caterpillar(rng, 30, 8)[0])
+        yield shuffled(rng, gen_random_caterpillar(rng, 30, 8)[0])
     for k in (1, 2, 5, 20):
         for delta in (1, 3, 10):
             yield gen_caterpillar([1 if i % 2 == 0 else delta for i in range(2 * k + 1)])[0]

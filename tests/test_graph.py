@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import sys
@@ -10,10 +11,10 @@ from diffcolor import (MAX_N, CaterpillarShape, GraphParseError,
                        gen_regular_caterpillar, gen_spider, label_auto,
                        mp_value, parse_graph, recognize_caterpillar,
                        recognize_spider, upper_bound_report, write_graph)
-from diffcolor.graph import _EdgeError, _parse_lines
+from diffcolor.graph import _EdgeError
 from helpers import (length_multisets, parse_outcome, partitions, path_graph,
                      reference_caterpillar_shape, reference_coloring,
-                     reference_spider_shape, small_peak)
+                     reference_parse_lines, reference_spider_shape, small_peak)
 
 
 class TestTree:
@@ -270,8 +271,9 @@ LONG = "1" * (getattr(sys, "get_int_max_str_digits", lambda: 4300)() + 1)
 
 
 class TestCanonicalFastPath:
-    """parse_graph reads write_graph's text by a fast path and everything else
-    line by line (_parse_lines): both readings must agree on every text."""
+    """parse_graph reads a run of canonical edge lines after the header in
+    bulk and every other line one at a time: it must agree with the reference
+    line reader on every text, the run's boundaries included."""
 
     @pytest.mark.parametrize("text", [
         "p 3 2\ne 1 2\ne 2 3\n", "p 1 0\n", "p 4 3\ne 4 1\ne 2 4\ne 3 4\n",
@@ -283,7 +285,11 @@ class TestCanonicalFastPath:
         f"p 2 1\ne 1 {LONG}\n", f"p {LONG} 0\n", "p 2 1\ne 1  2\n",
         "p 2 1\ne 1 \u0662\n", "p 2 1\ne 1,2\n", "p 3 2\ne 1 2\t\ne 2 3\n",
         "p 2 1\ne 1e0 2\n", "", "e 1 2\np 2 1\n", f"p {MAX_N + 1} 0\n", OVER_LIMIT,
-        f"p {MAX_N + 1} 2\ne 1 2\ne x y\n",
+        f"p {MAX_N + 1} 2\ne 1 2\ne x y\n", "p 3 2\ne 01 2\ne 2 3\n",
+        "p 3 2\ne 1 2\ne 2 03\n", "p 3 2\r\ne 1 2\ne 2 3\n", "p 3 2\nc\ne 1 2\ne 2 3\n",
+        "p 3 2\ne 1 2\ne 2 3\ne 1 3\n", "p 4 3\ne 1 2\ne 2 3\nc x\ne 3 4\n",
+        "p 4 3\ne 1 2\ne 2 3\ne 3 4\r\n", "p 3 3\ne 1 2\ne 2 3\ne 1 2\n",
+        "p 3 2\ne 1 2\ne 2 3\np 3 2\n",
     ], ids=["valid", "single-vertex", "unsorted", "comment-first", "comment-mid",
             "crlf", "no-final-newline", "trailing-blank-line", "vertical-tab",
             "line-separator", "edge-leading-zero", "header-leading-zero",
@@ -291,19 +297,36 @@ class TestCanonicalFastPath:
             "out-of-range", "zero-endpoint", "p-0-0", "long-edge-number",
             "long-header-number", "double-space", "non-ascii-digit", "comma",
             "trailing-tab", "exponent", "empty", "edge-before-header", "over-max-n",
-            "over-max-n-edges", "over-max-n-bad-line"])
+            "over-max-n-edges", "over-max-n-bad-line", "run-first-leading-zero",
+            "run-last-leading-zero", "crlf-header", "comment-after-header",
+            "run-past-m", "comment-after-run", "crlf-after-run", "run-duplicate-last",
+            "header-after-run"])
     def test_agrees_with_the_line_reading(self, text):
-        assert parse_outcome(parse_graph, text) == parse_outcome(_parse_lines, text)
+        assert parse_outcome(parse_graph, text) == parse_outcome(reference_parse_lines, text)
 
-    def test_canonical_text_skips_the_line_reading(self, monkeypatch):
-        def refuse(text):
-            raise AssertionError("canonical text read line by line")
-
-        monkeypatch.setattr("diffcolor.graph._parse_lines", refuse)
+    @pytest.mark.parametrize("comments", ["", "c one\nc two\nc three\n"])
+    def test_edges_decoded_by_one_json_loads(self, monkeypatch, comments):
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(json, "loads", lambda s: calls.append(s) or loads(s))
         t = gen_spider([2, 3, 1])[0]
-        assert parse_graph(write_graph(t)) == t
-        with pytest.raises(AssertionError):  # a comment leaves the fast path
-            parse_graph("c x\n" + write_graph(t))
+        assert parse_graph(comments + write_graph(t)) == t
+        assert len(calls) == 1
+
+    def test_leading_zero_in_the_run_read_by_the_loop(self):
+        assert parse_graph("p 3 2\ne 01 2\ne 2 3\n") == parse_graph("p 3 2\ne 1 2\ne 2 3\n")
+
+    def test_rejected_run_builds_one_tree(self, monkeypatch):
+        t = gen_spider([2, 3, 1])[0]
+        _, *lines = write_graph(t).splitlines(keepends=True)
+        text = f"p {t.n} {t.m + 1}\n" + "".join(lines) + lines[0]  # the first edge again
+        built = []
+        monkeypatch.setattr("diffcolor.graph.Tree",
+                            lambda n, edges: built.append(n) or Tree(n, edges))
+        with pytest.raises(GraphParseError) as info:
+            parse_graph(text)
+        assert str(info.value) == f"line {t.m + 2}: duplicate edge: {lines[0][:-1]!r}"
+        assert built == [t.n]
 
 
 class TestRecognizeCaterpillar:

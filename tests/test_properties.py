@@ -20,10 +20,9 @@ from diffcolor import (SCHEMES, GraphParseError, Labeling, NotApplicable,
                        label_auto, label_general_caterpillar, mark_caterpillar,
                        parse_graph, recognize_caterpillar, recognize_spider,
                        run_scheme, upper_bound_report, write_graph)
-from diffcolor.graph import _parse_lines
 from helpers import (LABEL_SHAPE, parse_outcome, pruefer_to_edges,
                      reference_caterpillar_shape, reference_coloring,
-                     reference_spider_shape)
+                     reference_parse_lines, reference_spider_shape)
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -258,13 +257,13 @@ LINE_EDITS = [
 @given(relabeled(caterpillars() | spiders()), st.integers(0, 10**6),
        st.sampled_from(LINE_EDITS), st.integers(0, 250))
 def test_parse_agrees_with_the_line_reading(tree, at, edit, k):
-    """A write_graph text with one line edited: parse_graph's fast path and
-    the line reading give the same Tree or the same error."""
+    """A write_graph text with one line edited: parse_graph and the reference
+    line reader give the same Tree or the same error."""
     lines = write_graph(tree).splitlines(keepends=True)
     i = at % len(lines)
     lines[i] = edit(lines[i], k)
     text = "".join(lines)
-    assert parse_outcome(parse_graph, text) == parse_outcome(_parse_lines, text)
+    assert parse_outcome(parse_graph, text) == parse_outcome(reference_parse_lines, text)
 
 
 @st.composite

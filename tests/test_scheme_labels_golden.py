@@ -16,9 +16,9 @@ import random
 import re
 from pathlib import Path
 
-from diffcolor import (SCHEMES, NotApplicable, Tree, gen_regular_caterpillar,
+from diffcolor import (SCHEMES, NotApplicable, gen_regular_caterpillar,
                        gen_spider, run_scheme)
-from helpers import free_trees
+from helpers import free_trees, shuffled
 
 # scheme name -> sha256 over all trees of its JSON or refusal
 SCHEME_SHA = {
@@ -29,25 +29,18 @@ SCHEME_SHA = {
 }
 
 
-def _shuffled(rng, tree):
-    perm = rng.sample(range(tree.n), tree.n)
-    edges = [(perm[u], perm[v]) for u, v in tree.edges]
-    rng.shuffle(edges)
-    return Tree(tree.n, tuple(edges))
-
-
 def _trees():
     for n in range(1, 13):
         yield from free_trees(n)
     rng = random.Random(1717)
     for _ in range(150):
-        yield _shuffled(rng, gen_regular_caterpillar(rng.randint(1, 25), rng.randint(1, 6))[0])
+        yield shuffled(rng, gen_regular_caterpillar(rng.randint(1, 25), rng.randint(1, 6))[0])
     for _ in range(150):
         parity = rng.randint(1, 2)
         lengths = [2 * rng.randint(0, 12) + parity for _ in range(rng.randint(1, 10))]
-        yield _shuffled(rng, gen_spider(lengths)[0])
+        yield shuffled(rng, gen_spider(lengths)[0])
     for _ in range(100):
-        yield _shuffled(rng, gen_spider([rng.randint(1, 15) for _ in range(rng.randint(1, 10))])[0])
+        yield shuffled(rng, gen_spider([rng.randint(1, 15) for _ in range(rng.randint(1, 10))])[0])
 
 
 def _outcome(tree, name):

@@ -19,10 +19,10 @@ import random
 import re
 from pathlib import Path
 
-from diffcolor import (CaterpillarShape, SpiderShape, Tree, gen_caterpillar,
+from diffcolor import (CaterpillarShape, SpiderShape, gen_caterpillar,
                        gen_random_caterpillar, gen_spider, recognize_caterpillar,
                        recognize_spider)
-from helpers import free_trees, path_graph
+from helpers import free_trees, path_graph, shuffled
 
 # sha256 of the recognized shapes, and of the generators' (Tree, shape) pairs
 SHAPES_SHA = "33923f19532a5c56fb8b287839c0f0e878f9b34e7e0913905ef192dc3911cd28"
@@ -43,13 +43,6 @@ def _text(pair) -> str:
     return "(" + ", ".join(map(item, pair)) + ")"
 
 
-def _shuffled(rng, tree):
-    perm = rng.sample(range(tree.n), tree.n)
-    edges = [(perm[u], perm[v]) for u, v in tree.edges]
-    rng.shuffle(edges)
-    return Tree(tree.n, tuple(edges))
-
-
 def _generated():
     rng = random.Random(1010)
     for _ in range(300):
@@ -66,9 +59,9 @@ def _trees():
         yield from free_trees(n)
     rng = random.Random(2020)
     for n in range(3, 401):
-        yield _shuffled(rng, path_graph(n))
+        yield shuffled(rng, path_graph(n))
     for tree, _ in _generated():
-        yield _shuffled(rng, tree)
+        yield shuffled(rng, tree)
 
 
 def _digests():
