@@ -122,7 +122,7 @@ def to_dot(t: Tree, labels=None) -> str:
             lines.append(f"  {v + 1};")
         else:
             lines.append(f'  {v + 1} [label="{labels[v]}"];')
-    lines.extend(f"  {u + 1} -- {v + 1};" for u, v in t.edges)
+    lines.extend(f"  {u + 1} -- {v + 1};" for u, v in t._pairs())
     lines.append("}")
     return "\n".join(lines) + "\n"
 

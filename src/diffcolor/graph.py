@@ -8,7 +8,8 @@ from __future__ import annotations
 import json
 import re
 import sys
-from collections.abc import Iterator
+from array import array
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import accumulate, chain, compress, groupby, islice
 
@@ -49,14 +50,30 @@ class _EdgeError(ValueError):
         self.index, self.reason = index, reason
 
 
+def _edge_fault(n: int, u, v) -> tuple[str, str] | None:
+    """The first rule edge (u, v) of a graph on n vertices breaks, as
+    (reason, detail), or None."""
+    if not (_is_int(u) and _is_int(v)):
+        return "non-integer endpoint", f"({u!r}, {v!r})"
+    if u == v:
+        return "self-loop", f"at vertex {u}"
+    if not (0 <= u < n and 0 <= v < n):
+        return "endpoint out of range", f"0..{n - 1}: ({u}, {v})"
+    return None
+
+
 class Tree(Record):
     """A simple undirected graph.
 
     Despite the name, arbitrary simple graphs are representable; operations
     that need a connected tree (or forest) check and raise explicitly; the
     cached shapes, and so the recognizers, are None off connected trees.
-    edges is a sequence of vertex pairs; endpoints must be ints (not bools).
-    Edges are normalized to (min, max) at construction.
+    edges is an iterable of vertex pairs, read once; endpoints must be ints
+    (not bools). Edge i is kept normalized, smaller endpoint first, at
+    _ends[2i] and _ends[2i + 1] of one flat array('i'): 8 bytes an edge.
+    The edges field is a view of that array, a tuple of (u, v) pairs built
+    on first read (by ==, hash or repr) and cached; the package's own
+    passes read the array.
 
     Derived structures are computed once, on first use, and cached on the
     instance; they take no part in ==, hash or repr. One pass over the edges
@@ -69,43 +86,54 @@ class Tree(Record):
 
     _fields = ("n", "edges")
 
-    def __init__(self, n: int, edges: tuple[tuple[int, int], ...]):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if not _is_int(n):
             raise ValueError(f"vertex count must be an integer, got {n!r}")
         if n < 1:
             raise ValueError("vertex count must be positive")
         check_vertex_count(n)
+        ends = array("i")
+        append = ends.append
         fault = None
-        norm = []  # len(norm) is the index of the edge at hand
-        for e in edges:
-            u, v = e
-            if (type(u) is not int or type(v) is not int) and not (_is_int(u) and _is_int(v)):
-                fault = "non-integer endpoint", f"({u!r}, {v!r})"
-                break
-            if u == v:
-                fault = "self-loop", f"at vertex {u}"
-                break
-            if not (0 <= u < n and 0 <= v < n):
-                fault = "endpoint out of range", f"0..{n - 1}: ({u}, {v})"
-                break
-            if u > v:
-                e = (v, u)
-            elif type(e) is not tuple:  # a normalized tuple is kept, not copied
-                e = (u, v)
-            norm.append(e)
-        if len(set(norm)) != len(norm):  # name the first duplicate, ahead of any later fault
+        for u, v in edges:
+            # plain ints in range and not a loop pass one chained comparison;
+            # _edge_fault names what is wrong with any other edge
+            if not (type(u) is int is type(v) and (0 <= u < v < n or 0 <= v < u < n)):
+                fault = _edge_fault(n, u, v)
+                if fault:
+                    break
+            if u < v:
+                append(u)
+                append(v)
+            else:
+                append(v)
+                append(u)
+        m = len(ends) >> 1  # the index of the faulty edge, if any
+        # each normalized pair read as one 64-bit int: a duplicate edge repeats one
+        if len(set(memoryview(ends).cast("B").cast("Q"))) != m:
             seen: set[tuple[int, int]] = set()
-            for i, e in enumerate(norm):
+            it = iter(ends)
+            for i, e in enumerate(zip(it, it)):  # name the first, ahead of any later fault
                 if e in seen:
                     raise _EdgeError(i, "duplicate edge", f"{e}")
                 seen.add(e)
         if fault:
-            raise _EdgeError(len(norm), *fault)
-        super().__init__(n, tuple(norm))
+            raise _EdgeError(m, *fault)
+        self.__dict__.update(n=n, _ends=ends)  # the edges field is derived from _ends
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as (u, v) pairs with u < v, in input order."""
+        return tuple(self._pairs())
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self._ends) >> 1
+
+    def _pairs(self) -> Iterator[tuple[int, int]]:
+        """The edges as (u, v) pairs, read from the array."""
+        it = iter(self._ends)
+        return zip(it, it)
 
     @cached_property
     def _degxor(self) -> tuple[list[int], list[int]]:
@@ -114,7 +142,7 @@ class Tree(Record):
         neighbour in nx."""
         deg = [0] * self.n
         nx = [0] * self.n
-        for u, v in self.edges:
+        for u, v in self._pairs():
             deg[u] += 1
             deg[v] += 1
             nx[u] ^= v
@@ -187,7 +215,7 @@ class Tree(Record):
     def adjacency(self) -> list[list[int]]:
         """Neighbor lists, built afresh on each call; the caller may modify them."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
+        for u, v in self._pairs():
             adj[u].append(v)
             adj[v].append(u)
         return adj
@@ -230,13 +258,15 @@ def parse_graph(text: str) -> Tree:
     reaches it. A header ending in "\n" may be followed by a run of
     canonical edge lines, as write_graph emits them ("e U V\n" in ASCII
     digits and single spaces); that run is found by one regex search and
-    decoded by one json.loads, and the loop goes on after it. A run holding
-    a number JSON refuses (leading zeros, more digits than int() reads) or
-    more than the declared edges is left to the loop, which names the line.
+    decoded by one json.loads, and the loop goes on after it. A run of more
+    than the declared edges, counted before it is decoded, or one holding a
+    number JSON refuses (leading zeros, more digits than int() reads) is left
+    to the loop, which names the line. Tree reads the edges as pairs drawn
+    from the decoded ints.
     """
     n = m = None
     header_line = line_no = 0
-    edges: list[tuple[int, int]] = []
+    ends: list[int] = []  # the 1-based endpoints, two an edge, in file order
     pos = 0  # where the line loop starts; it starts again after a run of edge lines
     while pos is not None:
         lines, pos = enumerate(_LINE.finditer(text, pos), start=line_no + 1), None
@@ -258,7 +288,7 @@ def parse_graph(text: str) -> Tree:
                     and fields[1].isdigit() and fields[2].isdigit()):
                 what = "edge line" if kind == "e" else "header"
                 raise GraphParseError(line_no, f"malformed {what} {line!r}")
-            if len(edges) == m:  # m is None until the header is read
+            if len(ends) // 2 == m:  # m is None until the header is read
                 raise GraphParseError(line_no, f"more than the declared {m} edges")
             try:
                 u, v = int(fields[1]), int(fields[2])
@@ -266,7 +296,7 @@ def parse_graph(text: str) -> Tree:
                 raise GraphParseError(line_no, "number with more than "
                                       f"{sys.get_int_max_str_digits()} digits") from None
             if kind == "e":
-                edges.append((u - 1, v - 1))
+                ends += u, v
                 continue
             check_vertex_count(u)
             n, m, header_line = u, v, line_no
@@ -275,26 +305,25 @@ def parse_graph(text: str) -> Tree:
                 continue
             stop = _NOT_EDGE_LINE.search(text, start - 1)
             end = stop.end() if stop else len(text)  # the run is text[start:end], perhaps empty
+            if text.count("\n", start, end) > m:  # the loop names the first line past the m-th edge
+                continue
             try:
                 # "e 1 2\ne 2 3\n" -> "[1,2,2,3]": the C decoder makes the ints from the text
-                ints = json.loads(
+                ends = json.loads(
                     "[" + text[start + 2:end - 1].replace(" ", ",").replace("\ne,", ",") + "]")
             except ValueError:  # a number with leading zeros, or longer than int() reads
                 continue
-            if len(ints) > 2 * m:  # the loop names the first line past the m-th edge
-                continue
-            pairs = iter(ints)
-            edges = [(u - 1, v - 1) for u, v in zip(pairs, pairs)]
-            del ints  # the 1-based ints are freed before Tree allocates
-            line_no += len(edges)
+            line_no += len(ends) // 2
             pos = end
             break
     if n is None:
         raise GraphParseError(1, "missing header")
-    if len(edges) != m:
-        raise GraphParseError(header_line, f"header declares {m} edges, found {len(edges)}")
+    if len(ends) // 2 != m:
+        raise GraphParseError(header_line, f"header declares {m} edges, found {len(ends) // 2}")
+    ints = map((-1).__add__, ends)  # 0-based, made one at a time as Tree reads the pairs
+    del ends  # so the 1-based list is freed when Tree has read it
     try:
-        return Tree(n, edges)
+        return Tree(n, zip(ints, ints))
     except _EdgeError as exc:  # read the lines again, up to the rejected edge's
         numbered = enumerate((match[1] for match in _LINE.finditer(text)), start=1)
         e_lines = ((no, line) for no, line in numbered if line[:1] == "e")
@@ -306,9 +335,7 @@ def parse_graph(text: str) -> Tree:
 
 def write_graph(t: Tree) -> str:
     """Serialize to the graph file format (1-based, newline-terminated)."""
-    lines = [f"p {t.n} {t.m}"]
-    lines.extend(f"e {u + 1} {v + 1}" for u, v in t.edges)
-    return "\n".join(lines) + "\n"
+    return f"p {t.n} {t.m}\n" + ("e %d %d\n" * t.m) % tuple(map((1).__add__, t._ends))
 
 
 def _is_int_run(values, first: int, n: int) -> bool:
@@ -336,6 +363,10 @@ class _Shape(Record):
 
     def to_tree(self) -> Tree:
         return Tree(self.n, self.edges)
+
+    def _pairs(self) -> Iterator[tuple[int, int]]:
+        """The edges as (u, v) pairs, as Tree._pairs gives a tree's."""
+        return iter(self.edges)
 
 
 class CaterpillarShape(_Shape):

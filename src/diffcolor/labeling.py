@@ -10,7 +10,7 @@ from __future__ import annotations
 from ._record import Record
 from .graph import CaterpillarShape, SpiderShape, Tree, _is_int, _is_int_run
 
-Graph = Tree | CaterpillarShape | SpiderShape  # anything with n and edges
+Graph = Tree | CaterpillarShape | SpiderShape  # anything with n, edges and _pairs()
 
 
 class Labeling(Record):
@@ -62,7 +62,7 @@ def differential_value(t: Graph, labeling: Labeling) -> int:
     if not ok:
         raise ValueError(f"invalid labeling: {why}")
     labels = labeling.labels
-    return min((abs(labels[u] - labels[v]) for u, v in t.edges), default=len(labels))
+    return min((abs(labels[u] - labels[v]) for u, v in t._pairs()), default=len(labels))
 
 
 class EvaluatedLabeling(Record):

@@ -33,6 +33,7 @@ INPUTS = {
     "spider-2,2,3": ["--family", "spider", "--paths", "2,2,3"],
     "cat-2,1": ["--family", "cat", "--leg-list", "2,1"],
     "sec53-2-3": ["--family", "sec53", "--k", "2", "--delta", "3"],
+    "cat-10,9": ["--family", "cat", "--leg-list", "10,9"],
 }
 
 COMMANDS = [

@@ -2,6 +2,7 @@ import json
 import random
 import re
 import sys
+import tracemalloc
 
 import pytest
 
@@ -14,7 +15,8 @@ from diffcolor import (MAX_N, CaterpillarShape, GraphParseError,
 from diffcolor.graph import _EdgeError
 from helpers import (length_multisets, parse_outcome, partitions, path_graph,
                      reference_caterpillar_shape, reference_coloring,
-                     reference_parse_lines, reference_spider_shape, small_peak)
+                     reference_parse_lines, reference_spider_shape, shuffled,
+                     small_peak)
 
 
 class TestTree:
@@ -93,6 +95,29 @@ class TestTree:
         assert not {"_degxor", "_coloring"} & t.__dict__.keys()
 
 
+class TestTreeMemory:
+    def test_parsed_tree_keeps_one_flat_array(self):
+        """A Tree keeps its edges in one array('i'), 8 bytes an edge: a
+        parsed, relabeled 1e5-vertex caterpillar keeps at most 16 bytes per
+        vertex (128 when each edge was a tuple of two int objects), and
+        parsing it peaks at no more than 200 bytes per vertex."""
+        text = write_graph(shuffled(random.Random(18), gen_regular_caterpillar(25_000, 3)[0]))
+        tracemalloc.start()
+        try:
+            tree = parse_graph(text)
+            live, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tree.n == 100_000 and tree.is_tree()
+        assert live <= 16 * tree.n, f"{live / tree.n:.1f} bytes per vertex kept"
+        assert peak <= 200 * tree.n, f"{peak / tree.n:.1f} bytes per vertex at the peak"
+
+    def test_edges_view_is_built_on_first_read(self):
+        t = parse_graph("p 3 2\ne 2 1\ne 2 3\n")
+        assert "edges" not in t.__dict__
+        assert t.edges is t.edges == ((0, 1), (1, 2))
+
+
 # write_graph's text for a header over the vertex limit: each reading must
 # refuse it at the header, ahead of its 300,000 edges
 OVER_LIMIT = f"p {MAX_N + 1} 300000\n" + "".join(f"e {v} {v + 1}\n" for v in range(1, 300001))
@@ -144,6 +169,14 @@ class TestSizeLimit:
     def test_leading_comments_read_in_small_memory(self, text, outcome):
         with small_peak():
             assert parse_outcome(parse_graph, text) == outcome
+
+    def test_over_long_edge_run_refused_before_decoding(self):
+        # the run's lines are counted against the header's m before they are
+        # decoded, so the loop names line 3 without reading the rest
+        text = "p 300001 1\n" + "".join(f"e {v} {v + 1}\n" for v in range(1, 300001))
+        with small_peak(), pytest.raises(GraphParseError) as info:
+            parse_graph(text)
+        assert str(info.value) == "line 3: more than the declared 1 edges"
 
     def test_canonical_header_refused_without_a_tree(self, monkeypatch):
         def refuse(n, edges):
