@@ -12,7 +12,7 @@
 Exit codes: 0 success, 2 validation error, 3 size limit (MAX_N vertices, the
 exact solver's limit) or exact-solver timeout.
 All output is deterministic for identical argv (random generation requires
-an explicit --seed).
+an explicit --seed), except exact's millis, which is wall-clock time.
 
 Each subcommand's flags are declared once, in _COMMANDS. A well-formed
 command line is read from that table directly; argparse, built from the same

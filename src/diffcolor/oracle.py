@@ -120,6 +120,8 @@ def decision_dc_at_least(t: Tree, d: int, *,
     if not 1 <= d <= t.n:
         raise ValueError(f"d must lie in 1..{t.n}, got {d}")
     deadline = _deadline(time.monotonic(), timeout_ms)
+    if d == 1:  # any numbering achieves 1, so there is nothing to search
+        return Labeling.identity(t.n)
     try:
         labels, _ = _search(t.n, t.adjacency(), d, deadline)
     except _Timeout as exc:
@@ -157,9 +159,12 @@ def exact_dc(t: Tree, *, limit_n: int = DEFAULT_LIMIT_N,
         try:
             labels, nodes = _search(t.n, adj, d, deadline)
         except _Timeout as exc:
-            raise OracleTimeoutError(
-                f"timed out while testing d={d}; result lies in [1, {d}]",
-                (1, d), total_nodes + exc.nodes) from None
+            if d > 1:
+                raise OracleTimeoutError(
+                    f"timed out while testing d={d}; result lies in [1, {d}]",
+                    (1, d), total_nodes + exc.nodes) from None
+            # the bracket is closed: the identity numbering achieves d = 1
+            labels, nodes = tuple(range(1, t.n + 1)), exc.nodes
         total_nodes += nodes
         if labels is not None:
             millis = int((time.monotonic() - started) * 1000)

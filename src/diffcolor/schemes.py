@@ -223,15 +223,13 @@ def mark_caterpillar(shape: CaterpillarShape) -> MarkingState:
     low_side = [i % 2 == 0 for i in range(s)]
     # The high side holds the other n - lows vertices.
     lows = sum(1 if low_side[i] else counts[i] for i in range(s))
-    mid = -1
-    for i in range(s - 1, -1, -1):
-        excl_lows = lows - (1 if low_side[i] else counts[i])
-        if 2 * excl_lows < n and 2 * (n - 1 - counts[i] - excl_lows) <= n:
-            mid = i
+    for mid in range(s - 1, -1, -1):
+        excl_lows = lows - (1 if low_side[mid] else counts[mid])
+        if 2 * excl_lows < n and 2 * (n - 1 - counts[mid] - excl_lows) <= n:
             break
-        low_side[i] = not low_side[i]
-        lows = excl_lows + (1 if low_side[i] else counts[i])
-    if mid == -1:
+        low_side[mid] = not low_side[mid]
+        lows = excl_lows + (1 if low_side[mid] else counts[mid])
+    else:
         raise SchemeError("balance condition never achieved along the spine")
 
     # Legless spine vertices become pseudo-legs of their right neighbor unless
@@ -300,26 +298,24 @@ def _general_cat(shape: CaterpillarShape) -> Draft:
     # walk, so those neighbors take the innermost spine numbers, low/high
     # ranks stay aligned along the spine (in particular across pseudo-legs,
     # whose two spine neighbors share a side) and every adjacent difference
-    # meets the guarantee.
-    if mid > 0:
-        leftward = spine[mid - 1] in low
-    else:  # on a one-vertex spine the walk is empty either way
-        leftward = s > 1 and spine[1] in high
-    if leftward:
-        walk = [*range(mid - 1, -1, -1), *range(s - 1, mid, -1)]
-    else:
-        walk = [*range(mid + 1, s), *range(mid)]
+    # meets the guarantee. The rightward walk, reversed, is the leftward one.
+    walk = [*range(mid + 1, s), *range(mid)]
+    if spine[mid - 1] in low if mid else s > 1 and spine[1] in high:
+        walk.reverse()
     low_owners = [j for j in walk if spine[j] in low]
     high_owners = [j for j in walk if spine[j] in high]
 
     # owner -> the pseudo-leg that left the spine for it (each owns at most one)
-    pseudo_legs = {o: (v,) for v, o in state.pseudo_leg_owner if v not in low and v not in high}
+    pseudo_legs = {o: v for v, o in state.pseudo_leg_owner if v not in low and v not in high}
+
+    def group(j):  # owner j's legs, then the pseudo-leg it adopted
+        return (*legs[j], pseudo_legs[spine[j]]) if spine[j] in pseudo_legs else legs[j]
+
     # Legs fill the mid-range outward from ceil(n/2), grouped by owner: low
     # owners' legs upward in walk order, high owners' downward in reverse.
-    low_legs, high_legs = ([v for j in owners for v in (*legs[j], *pseudo_legs.get(spine[j], ()))]
-                           for owners in (low_owners, reversed(high_owners)))
-    order = chain(state.middle_low_legs, (spine[j] for j in low_owners), reversed(high_legs),
-                  (state.middle,), low_legs, (spine[j] for j in high_owners),
+    order = chain(state.middle_low_legs, (spine[j] for j in low_owners),
+                  chain.from_iterable(map(reversed, map(group, high_owners))), (state.middle,),
+                  chain.from_iterable(map(group, low_owners)), (spine[j] for j in high_owners),
                   state.middle_high_legs)
     return _number(shape.n, order), (shape.n + 1) // 2 - shape.delta - 2
 

@@ -199,6 +199,11 @@ class TestExact:
                                 "--legs", "1", "--timeout-ms", "0"])
         assert code == 3 and "timed out" in err
 
+    def test_timeout_on_closed_bracket_exit_0(self):
+        code, out, err = capture(["exact", "--family", "spider", "--paths", "1,1",
+                                  "--timeout-ms", "0", "--format", "plain"])
+        assert (code, out.splitlines()[0], err) == (0, "dc 1", "")
+
     def test_negative_timeout_exit_2(self):
         code, _, err = capture(["exact", "--family", "spider", "--paths", "1,1,1",
                                 "--timeout-ms", "-5"])

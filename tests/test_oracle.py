@@ -6,6 +6,7 @@ from diffcolor import (Labeling, OracleLimitError, OracleTimeoutError, Tree,
                        decision_dc_at_least, differential_value, exact_dc,
                        gen_caterpillar, gen_regular_caterpillar, gen_spider,
                        upper_bound_report)
+from diffcolor.oracle import _search
 from helpers import all_trees, naive_dc, path_graph, pruefer_to_edges
 
 
@@ -127,6 +128,26 @@ class TestLimits:
         with pytest.raises(OracleTimeoutError) as info:
             exact_dc(t, limit_n=16, timeout_ms=200)
         assert info.value.bracket == (1, 8) and info.value.nodes > 0
+
+    def test_closed_bracket_answers_after_timeout(self):
+        """P3's best bound is 1, so the first d tested is 1: a spent budget
+        still answers dc = 1, with the identity witness."""
+        result = exact_dc(path_graph(3), timeout_ms=0)
+        assert result.dc == 1 and result.witness == Labeling.identity(3)
+
+    def test_decision_at_1_needs_no_search(self):
+        assert decision_dc_at_least(path_graph(3), 1, timeout_ms=0) == Labeling.identity(3)
+
+    def test_search_at_1_is_the_identity(self):
+        """Every numbering achieves d = 1; the search itself finds the
+        identity in n nodes, so skipping it changes no witness."""
+        rng = random.Random(1)
+        trees = [t for n in range(1, 7) for t in all_trees(n)]
+        for n in rng.choices(range(3, 15), k=300):
+            code = [rng.randrange(n) for _ in range(n - 2)]
+            trees.append(Tree(n, tuple(pruefer_to_edges(code, n))))
+        for t in trees:
+            assert _search(t.n, t.adjacency(), 1, None) == (tuple(range(1, t.n + 1)), t.n)
 
     def test_negative_timeout_rejected(self):
         t = path_graph(4)

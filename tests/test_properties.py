@@ -4,8 +4,9 @@ permuted vertex ids; of the coloring and component count on random trees,
 forests and graphs with one cycle; of every layer on forests of several trees
 and on trees plus one edge, none of which is a caterpillar or a spider; of
 both recognizers against their adjacency-list reference on trees up to
-n ~ 2000; and of every applicable scheme against its guarantee and the best
-bound on caterpillars and parity-uniform spiders up to n ~ 4000."""
+n ~ 2000; of every applicable scheme against its guarantee and the best
+bound on caterpillars and parity-uniform spiders up to n ~ 4000; and of
+mp_value against the best bound on spiders, regular caterpillars and paths."""
 
 import random
 import re
@@ -18,9 +19,9 @@ from diffcolor import (SCHEMES, GraphParseError, Labeling, NotApplicable,
                        Tree, bipartition_sizes, differential_value,
                        gen_caterpillar, gen_regular_caterpillar, gen_spider,
                        label_auto, label_general_caterpillar, mark_caterpillar,
-                       parse_graph, recognize_caterpillar, recognize_spider,
+                       mp_value, parse_graph, recognize_caterpillar, recognize_spider,
                        run_scheme, upper_bound_report, write_graph)
-from helpers import (LABEL_SHAPE, parse_outcome, pruefer_to_edges,
+from helpers import (LABEL_SHAPE, parse_outcome, path_graph, pruefer_to_edges,
                      reference_caterpillar_shape, reference_coloring,
                      reference_parse_lines, reference_spider_shape)
 
@@ -195,6 +196,36 @@ def test_large_schemes_land_in_their_bracket(tree):
         if optimality == "proved":
             assert result.value == best
     assert applied
+
+
+@st.composite
+def mp_optimal_trees(draw):
+    """A spider (3-40 paths of lengths 1-60), a regular caterpillar (spine
+    s <= 80, delta <= 20 legs each) or a path."""
+    kind = draw(st.sampled_from(("spider", "regular-cat", "path")))
+    if kind == "spider":
+        return gen_spider(draw(st.lists(st.integers(1, 60), min_size=3, max_size=40)))[0]
+    if kind == "regular-cat":
+        return gen_regular_caterpillar(draw(st.integers(1, 80)), draw(st.integers(1, 20)))[0]
+    return path_graph(draw(st.integers(2, 2000)))
+
+
+@given(relabeled(mp_optimal_trees()))
+def test_bipartition_reaches_the_best_bound(tree):
+    """The abstract's main claim: the Miller-Pritikin (bipartition) scheme
+    is optimal on spiders and regular caterpillars, i.e. mp_value(t) equals
+    the best upper bound. By counting:
+
+    - Spider: the center and the even levels form one color class, of size
+      N_e + 1; the odd levels form the other, of at least N_e vertices,
+      since a path of length L has ceil(L/2) odd levels and floor(L/2) even
+      ones. So min(|U|, |V|) = min(N_e + 1, floor(n/2)), the best of thm3
+      and thm1. A path with n >= 3 is a two-path spider; P2 has thm1 = 1.
+    - Regular caterpillar with spine s and delta legs per spine vertex: for
+      odd s the smaller class has (s + 1)/2 + delta (s - 1)/2 vertices,
+      which is ceil((n - delta)/2) = thm2; for even s the classes are
+      balanced, so the smaller has n/2 = thm1 vertices."""
+    assert mp_value(tree) == upper_bound_report(tree).best
 
 
 @given(relabeled(caterpillars() | parity_uniform_spiders()), seeds)
