@@ -155,18 +155,17 @@ def exact_dc(t: Tree, *, limit_n: int = DEFAULT_LIMIT_N,
         start = t.n - 1
     adj = t.adjacency()
     total_nodes = 0
-    for d in range(start, 0, -1):
+    for d in range(start, 1, -1):
         try:
             labels, nodes = _search(t.n, adj, d, deadline)
         except _Timeout as exc:
-            if d > 1:
-                raise OracleTimeoutError(
-                    f"timed out while testing d={d}; result lies in [1, {d}]",
-                    (1, d), total_nodes + exc.nodes) from None
-            # the bracket is closed: the identity numbering achieves d = 1
-            labels, nodes = tuple(range(1, t.n + 1)), exc.nodes
+            raise OracleTimeoutError(
+                f"timed out while testing d={d}; result lies in [1, {d}]",
+                (1, d), total_nodes + exc.nodes) from None
         total_nodes += nodes
         if labels is not None:
             millis = int((time.monotonic() - started) * 1000)
             return ExactResult(d, Labeling(labels), total_nodes, millis)
-    raise AssertionError("d=1 is always feasible for a graph with edges")
+    # every numbering achieves d = 1; the search there would visit exactly n nodes
+    millis = int((time.monotonic() - started) * 1000)
+    return ExactResult(1, Labeling.identity(t.n), total_nodes + t.n, millis)

@@ -213,9 +213,8 @@ class MarkingState(Record):
 
 
 def mark_caterpillar(shape: CaterpillarShape) -> MarkingState:
-    """Run the marking phase and return the vertex-level groups, validated.
-    Each group is built once, directly as its frozenset, and validate checks
-    the groups without copying them."""
+    """Run the marking phase and return the vertex-level groups, validated;
+    validate checks the groups without copying them."""
     s, n = shape.s, shape.n
     counts = shape.leg_counts
     # Alternate sides along the spine, then scan right to left for the vertex
@@ -298,9 +297,10 @@ def _general_cat(shape: CaterpillarShape) -> Draft:
     # walk, so those neighbors take the innermost spine numbers, low/high
     # ranks stay aligned along the spine (in particular across pseudo-legs,
     # whose two spine neighbors share a side) and every adjacent difference
-    # meets the guarantee. The rightward walk, reversed, is the leftward one.
+    # meets the guarantee. A one-vertex spine has an empty walk either way.
     walk = [*range(mid + 1, s), *range(mid)]
-    if spine[mid - 1] in low if mid else s > 1 and spine[1] in high:
+    low_on_left = (spine[mid - 1] in low) if mid else (s > 1 and spine[1] in high)
+    if low_on_left:  # the leftward walk is the rightward one reversed
         walk.reverse()
     low_owners = [j for j in walk if spine[j] in low]
     high_owners = [j for j in walk if spine[j] in high]
