@@ -75,13 +75,15 @@ class Tree(Record):
     on first read (by ==, hash or repr) and cached; the package's own
     passes read the array.
 
-    Derived structures are computed once, on first use, and cached on the
-    instance; they take no part in ==, hash or repr. One pass over the edges
-    gives each vertex's degree and the XOR of its neighbours' ids (_degxor).
-    degrees(), the recognized caterpillar and spider shapes (by walks along
-    the XORs) and a tree's 2-coloring and component count (by peeling leaves
-    toward vertex 0) read only that pass. Neighbour lists are built only by
-    adjacency(), for its callers and to color every graph that is not a tree.
+    One structural pass (_structure) runs on first use and caches only its
+    results: the 2-coloring, the component count, bipartiteness and the
+    caterpillar and spider shapes. They take no part in ==, hash or repr.
+    On a graph with n - 1 edges the pass records each vertex's degree and
+    the XOR of its neighbours' ids, colors a tree by peeling leaves toward
+    vertex 0, and on a tree walks the XORs for both shapes; the lists are
+    then dropped. degrees() counts the array afresh. Neighbour lists are
+    built only by adjacency(), for its callers and to color every graph
+    that is not a tree.
     """
 
     _fields = ("n", "edges")
@@ -136,52 +138,51 @@ class Tree(Record):
         return zip(it, it)
 
     @cached_property
-    def _degxor(self) -> tuple[list[int], list[int]]:
-        """(deg, nx) from one pass over the edges: deg[v] is v's degree and
-        nx[v] the XOR of its neighbours' ids, so a vertex of degree 1 has its
-        neighbour in nx."""
-        deg = [0] * self.n
-        nx = [0] * self.n
-        for u, v in self._pairs():
-            deg[u] += 1
-            deg[v] += 1
-            nx[u] ^= v
-            nx[v] ^= u
-        return deg, nx
+    def _structure(self) -> tuple[bytes, int, bool, CaterpillarShape | None, SpiderShape | None]:
+        """(colors, component count, bipartite?, caterpillar, spider) from one
+        pass; the smallest vertex of each component gets color 0, and the
+        shapes are None off connected trees.
 
-    @cached_property
-    def _coloring(self) -> tuple[bytes, int, bool]:
-        """(colors, component count, bipartite?); the smallest vertex of each
-        component gets color 0.
-
-        A graph with n - 1 edges is peeled from its leaves toward vertex 0:
-        each leaf but vertex 0 comes off its one remaining neighbour's degree
-        and XOR, so a peeled vertex keeps degree 1 and an nx entry holding
-        that neighbour, its parent. A vertex whose last neighbour was peeled
-        into it, left at degree 0, is a root and stays. If no vertex keeps
-        degree >= 2, vertex 0 was the only root: the graph is a tree, colored
-        in reverse peel order from color[0] = 0. Every other graph (a forest
-        of several trees, a graph with a cycle) is colored by one depth-first
-        traversal of adjacency() from each component's smallest vertex; the
-        colors clash across an odd cycle.
+        A graph with n - 1 edges gets each vertex's degree and the XOR of its
+        neighbours' ids (deg and nx, locals of this pass), and copies of them
+        are peeled from the leaves toward vertex 0: each leaf but vertex 0
+        comes off its one remaining neighbour's degree and XOR, so a peeled
+        vertex keeps degree 1 and an XOR entry holding that neighbour, its
+        parent. A vertex whose last neighbour was peeled into it, left at
+        degree 0, is a root and stays. If no vertex keeps degree >= 2, vertex
+        0 was the only root: the graph is a tree, colored in reverse peel
+        order from color[0] = 0, and deg and nx give both shapes before they
+        are dropped. Every other graph (a forest of several trees, a graph
+        with a cycle) is colored by one depth-first traversal of adjacency()
+        from each component's smallest vertex; the colors clash across an odd
+        cycle.
         """
         n = self.n
         if self.m == n - 1:
-            deg, nx = map(list, self._degxor)
+            deg = [0] * n
+            nx = [0] * n
+            for u, v in self._pairs():
+                deg[u] += 1
+                deg[v] += 1
+                nx[u] ^= v
+                nx[v] ^= u
+            left, parent = list(deg), list(nx)  # the peel's copies
             order = list(_leaves(deg))
             for v in order:  # order grows as vertices become leaves
-                if v and deg[v]:  # else v is vertex 0 or a root
-                    p = nx[v]
-                    nx[p] ^= v
-                    d = deg[p] = deg[p] - 1
+                if v and left[v]:  # else v is vertex 0 or a root
+                    p = parent[v]
+                    parent[p] ^= v
+                    d = left[p] = left[p] - 1
                     if d == 1:
                         order.append(p)
-            if max(deg) < 2:
+            if max(left) < 2:
                 color = bytearray(n)
                 for v in reversed(order):
                     if v:
-                        color[v] = color[nx[v]] ^ 1
-                return bytes(color), 1, True
+                        color[v] = color[parent[v]] ^ 1
+                del left, parent, order  # freed before the shapes are built
+                return (bytes(color), 1, True,
+                        _caterpillar_shape(self, deg, nx), _spider_shape(self, deg, nx))
         adj = self.adjacency()
         color = bytearray(b"\x02") * n  # 2 = not yet reached
         components = 0
@@ -202,15 +203,19 @@ class Tree(Record):
                     elif cu == cv:
                         bipartite = False
             root = color.find(2, root + 1)
-        return bytes(color), components, bipartite
+        return bytes(color), components, bipartite, None, None
 
-    @cached_property
+    @property
+    def _coloring(self) -> tuple[bytes, int, bool]:
+        return self._structure[:3]
+
+    @property
     def _caterpillar(self) -> CaterpillarShape | None:
-        return _caterpillar_shape(self) if self.is_tree() else None
+        return self._structure[3]
 
-    @cached_property
+    @property
     def _spider(self) -> SpiderShape | None:
-        return _spider_shape(self) if self.is_tree() else None
+        return self._structure[4]
 
     def adjacency(self) -> list[list[int]]:
         """Neighbor lists, built afresh on each call; the caller may modify them."""
@@ -221,7 +226,10 @@ class Tree(Record):
         return adj
 
     def degrees(self) -> list[int]:
-        return list(self._degxor[0])
+        deg = [0] * self.n
+        for v in self._ends:
+            deg[v] += 1
+        return deg
 
     def component_count(self) -> int:
         return self._coloring[1]
@@ -479,12 +487,12 @@ def recognize_caterpillar(t: Tree) -> CaterpillarShape | None:
     return t._caterpillar
 
 
-def _caterpillar_shape(t: Tree) -> CaterpillarShape | None:
+def _caterpillar_shape(t: Tree, deg: list[int], nx: list[int]) -> CaterpillarShape | None:
+    """The caterpillar shape of the tree t, from its degrees and neighbour XORs."""
     if t.n == 1:
         return CaterpillarShape((0,), ((),))
     if t.n == 2:
         return CaterpillarShape((0,), ((1,),))
-    deg, nx = t._degxor
     parent = nx.__getitem__
     leaves = sorted(_leaves(deg), key=parent)  # by neighbour, ascending within (stable)
     legs = {v: tuple(vlegs) for v, vlegs in groupby(leaves, parent)}  # in ascending v
@@ -516,11 +524,11 @@ def recognize_spider(t: Tree) -> SpiderShape | None:
     return t._spider
 
 
-def _spider_shape(t: Tree) -> SpiderShape | None:
+def _spider_shape(t: Tree, deg: list[int], nx: list[int]) -> SpiderShape | None:
+    """The spider shape of the tree t, from its degrees and neighbour XORs."""
     n = t.n
     if n < 3:
         return None
-    deg, nx = t._degxor
     leaves = _leaves(deg)
     branches = n - deg.count(1) - deg.count(2)  # vertices of degree >= 3
     if branches > 1:

@@ -112,6 +112,23 @@ class TestTreeMemory:
         assert live <= 16 * tree.n, f"{live / tree.n:.1f} bytes per vertex kept"
         assert peak <= 200 * tree.n, f"{peak / tree.n:.1f} bytes per vertex at the peak"
 
+    def test_item_path_keeps_only_the_structural_results(self):
+        """The degree and XOR lists are locals of the one structural pass: on
+        the same caterpillar, with the results of label_auto,
+        upper_bound_report and mp_value kept, the tree and those results hold
+        at most 110 bytes per vertex (about 99; 147 when a Tree kept the
+        lists)."""
+        text = write_graph(shuffled(random.Random(18), gen_regular_caterpillar(25_000, 3)[0]))
+        tracemalloc.start()
+        try:
+            tree = parse_graph(text)
+            kept = label_auto(tree), upper_bound_report(tree), mp_value(tree)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert tree.n == 100_000 and kept[0].scheme == "regular-cat"
+        assert live <= 110 * tree.n, f"{live / tree.n:.1f} bytes per vertex kept"
+
     def test_edges_view_is_built_on_first_read(self):
         t = parse_graph("p 3 2\ne 2 1\ne 2 3\n")
         assert "edges" not in t.__dict__
@@ -706,7 +723,7 @@ class TestDerivedCache:
     @pytest.mark.parametrize("tree", [gen_random_caterpillar(random.Random(5), 30, 4)[0],
                                       gen_spider([4, 2, 6, 2])[0]], ids=["caterpillar", "spider"])
     def test_tree_path_builds_no_adjacency(self, tree, monkeypatch):
-        # parsing, label_auto, the bounds and mp_value read the degree/XOR pass only
+        # parsing, label_auto, the bounds and mp_value read the one structural pass only
         rng = random.Random(6)
         perm = rng.sample(range(tree.n), tree.n)
         edges = [(perm[u], perm[v]) for u, v in tree.edges]
@@ -723,7 +740,9 @@ class TestDerivedCache:
         label_auto(t)
         upper_bound_report(t)
         mp_value(t)
-        assert not calls and "_degxor" in t.__dict__
+        assert not calls and "_structure" in t.__dict__
+        # the pass's degree and XOR lists are locals: only its results stay
+        assert t.__dict__.keys() == {"n", "_ends", "_structure"}
 
     def test_caches_stay_out_of_eq_hash_repr(self):
         a, _ = gen_spider([2, 3, 3])
@@ -732,11 +751,16 @@ class TestDerivedCache:
         assert recognize_spider(a) is not None
         assert recognize_caterpillar(a) is None
         bipartition_sizes(a)
-        assert "_coloring" in a.__dict__ and "_coloring" not in b.__dict__
+        assert "_structure" in a.__dict__ and "_structure" not in b.__dict__
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert b.is_forest()
         assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
         assert len({a, b}) == 1
+
+    def test_too_few_edges_leave_the_pass_unrun(self):
+        t = Tree(10**6, ())
+        assert not t.is_connected() and not t.is_tree()
+        assert "_structure" not in t.__dict__
 
     def test_odd_cycle_raises_every_call(self):
         cycle = Tree(5, ((0, 1), (1, 2), (0, 2), (3, 4)))
