@@ -367,14 +367,15 @@ def _check_vertices(*blocks: tuple[int, ...]) -> None:
 
 
 class _Shape(Record):
-    """Base of the two tree shapes: a subclass gives n and edges."""
+    """Base of the two tree shapes: a subclass gives n and _pairs(), the edges
+    streamed as (u, v) pairs like a Tree's; edges and to_tree() read them."""
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self._pairs())
 
     def to_tree(self) -> Tree:
-        return Tree(self.n, self.edges)
-
-    def _pairs(self) -> Iterator[tuple[int, int]]:
-        """The edges as (u, v) pairs, as Tree._pairs gives a tree's."""
-        return iter(self.edges)
+        return Tree(self.n, self._pairs())
 
 
 class CaterpillarShape(_Shape):
@@ -417,12 +418,11 @@ class CaterpillarShape(_Shape):
     def is_regular(self) -> bool:
         return len(set(self.leg_counts)) == 1
 
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
+    def _pairs(self) -> Iterator[tuple[int, int]]:
         """Spine edges in path order, then each spine vertex's legs."""
         spine = self.spine_vertices
         legs = ((v, leg) for v, vlegs in zip(spine, self.leg_vertices) for leg in vlegs)
-        return (*zip(spine, spine[1:]), *legs)
+        return chain(zip(spine, spine[1:]), legs)
 
 
 class SpiderShape(_Shape):
@@ -459,16 +459,10 @@ class SpiderShape(_Shape):
         """The paper's N_e: a path of length L has L // 2 even-level vertices."""
         return sum(length // 2 for length in self.path_lengths)
 
-    @property
-    def edges(self) -> tuple[tuple[int, int], ...]:
+    def _pairs(self) -> Iterator[tuple[int, int]]:
         """Each path's edges from the center outward, paths in order."""
-        edges = []
-        for verts in self.path_vertices:
-            prev = self.center
-            for v in verts:
-                edges.append((prev, v))
-                prev = v
-        return tuple(edges)
+        center = (self.center,)
+        return chain.from_iterable(zip(chain(center, verts), verts) for verts in self.path_vertices)
 
 
 def _leaves(deg: list[int]) -> Iterator[int]:

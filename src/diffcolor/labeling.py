@@ -10,7 +10,7 @@ from __future__ import annotations
 from ._record import Record
 from .graph import CaterpillarShape, SpiderShape, Tree, _is_int, _is_int_run
 
-Graph = Tree | CaterpillarShape | SpiderShape  # anything with n, edges and _pairs()
+Graph = Tree | CaterpillarShape | SpiderShape  # anything with n and _pairs()
 
 
 class Labeling(Record):

@@ -92,7 +92,7 @@ class TestTree:
         # answer must not cost an O(n) degree pass, adjacency or coloring.
         t = Tree(10**6, ())
         assert not t.is_connected()
-        assert not {"_degxor", "_coloring"} & t.__dict__.keys()
+        assert "_structure" not in t.__dict__
 
 
 class TestTreeMemory:

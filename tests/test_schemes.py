@@ -412,19 +412,38 @@ def test_label_auto_builds_no_tree(monkeypatch, scheme, tree):
     assert built == []
 
 
-@pytest.mark.parametrize("scheme, tree", FAMILY_TREES, ids=SCHEME_IDS)
-def test_run_scheme_builds_no_shape_edges(monkeypatch, scheme, tree):
-    """run_scheme, and so label_auto, checks the labels on the input tree's
-    own edges: neither shape's edge tuple is ever built."""
-    tree = parse_graph(write_graph(tree))
-
+def forbid_shape_edges(monkeypatch):
+    """Make reading either shape's edges tuple fail the test."""
     def no_edges(shape):
         raise AssertionError(f"{type(shape).__name__}.edges was built")
 
     for shape_type in (CaterpillarShape, SpiderShape):
         monkeypatch.setattr(shape_type, "edges", property(no_edges))
+
+
+@pytest.mark.parametrize("scheme, tree", FAMILY_TREES, ids=SCHEME_IDS)
+def test_run_scheme_builds_no_shape_edges(monkeypatch, scheme, tree):
+    """run_scheme, and so label_auto, checks the labels on the input tree's
+    own edges: neither shape's edge tuple is ever built."""
+    tree = parse_graph(write_graph(tree))
+    forbid_shape_edges(monkeypatch)
     assert label_auto(tree).scheme == scheme
     assert run_scheme(tree, scheme).scheme == scheme
+
+
+@pytest.mark.parametrize("scheme, tree", FAMILY_TREES, ids=SCHEME_IDS)
+def test_shapes_build_no_edges(monkeypatch, scheme, tree):
+    """A shape streams its pairs to the label_* check, to to_tree() and to
+    the generators: none of them builds the shape's edge tuple."""
+    shape = SCHEMES[scheme][1](tree)
+    forbid_shape_edges(monkeypatch)
+    assert labels_of(LABEL_SHAPE[scheme](shape)) == labels_of(run_scheme(tree, scheme))
+    rebuilt = shape.to_tree()
+    assert rebuilt.n == tree.n and set(rebuilt.edges) == set(tree.edges)
+    cat_tree, cat = gen_caterpillar([1, 0, 2, 1])
+    assert recognize_caterpillar(cat_tree) == cat
+    spider_tree, spider = gen_spider([2, 2, 4])
+    assert recognize_spider(spider_tree) == spider
 
 
 # every value and guarantee here is at least 2, so a labeling of value 1 fails both
