@@ -9,9 +9,10 @@ import json
 import re
 import sys
 from array import array
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from functools import cached_property
-from itertools import accumulate, chain, compress, groupby, islice
+from itertools import accumulate, chain, compress, groupby, islice, repeat
+from operator import sub
 
 from ._record import Record
 
@@ -79,11 +80,12 @@ class Tree(Record):
     results: the 2-coloring, the component count, bipartiteness and the
     caterpillar and spider shapes. They take no part in ==, hash or repr.
     On a graph with n - 1 edges the pass records each vertex's degree and
-    the XOR of its neighbours' ids, colors a tree by peeling leaves toward
-    vertex 0, and on a tree walks the XORs for both shapes; the lists are
-    then dropped. degrees() counts the array afresh. Neighbour lists are
-    built only by adjacency(), for its callers and to color every graph
-    that is not a tree.
+    the XOR of its neighbours' ids, lists the leaves once, colors a tree by
+    peeling leaves toward vertex 0, and on a tree hands the leaves, the
+    lists and the entries the peel's first layer left to both shapes; the
+    lists are then dropped. degrees() counts the array afresh. Neighbour
+    lists are built only by adjacency(), for its callers and to color every
+    graph that is not a tree.
     """
 
     _fields = ("n", "edges")
@@ -144,18 +146,24 @@ class Tree(Record):
         shapes are None off connected trees.
 
         A graph with n - 1 edges gets each vertex's degree and the XOR of its
-        neighbours' ids (deg and nx, locals of this pass), and copies of them
-        are peeled from the leaves toward vertex 0: each leaf but vertex 0
-        comes off its one remaining neighbour's degree and XOR, so a peeled
-        vertex keeps degree 1 and an XOR entry holding that neighbour, its
-        parent. A vertex whose last neighbour was peeled into it, left at
-        degree 0, is a root and stays. If no vertex keeps degree >= 2, vertex
-        0 was the only root: the graph is a tree, colored in reverse peel
-        order from color[0] = 0, and deg and nx give both shapes before they
-        are dropped. Every other graph (a forest of several trees, a graph
-        with a cycle) is colored by one depth-first traversal of adjacency()
-        from each component's smallest vertex; the colors clash across an odd
-        cycle.
+        neighbours' ids (deg and nx, locals of this pass) and one list of its
+        leaves, in ascending order. Copies of deg and nx are peeled from the
+        leaves toward vertex 0: each leaf but vertex 0 comes off its one
+        remaining neighbour's degree and XOR, so a peeled vertex keeps degree 1
+        and an XOR entry holding that neighbour, its parent. A vertex whose
+        last neighbour was peeled into it, left at degree 0, is a root and
+        stays. When the first layer, the leaves themselves, is peeled, both
+        copies are copied again (core_deg and core_nx), and a leaf 0, which is
+        never peeled, is taken off its neighbour's degree: a leaf then keeps 1
+        and its neighbour, a non-leaf its non-leaf degree and the XOR of its
+        non-leaf neighbours, which is all the caterpillar test and its spine
+        walk read. If no vertex keeps degree >= 2 at the end of the peel,
+        vertex 0 was the only root: the graph is a tree, colored in reverse
+        peel order from color[0] = 0, and the leaves, the first layer's copies
+        and deg and nx give both shapes before they are dropped. Every other
+        graph (a forest of several trees, a graph with a cycle) is colored by
+        one depth-first traversal of adjacency() from each component's
+        smallest vertex; the colors clash across an odd cycle.
         """
         n = self.n
         if self.m == n - 1:
@@ -166,23 +174,22 @@ class Tree(Record):
                 deg[v] += 1
                 nx[u] ^= v
                 nx[v] ^= u
+            leaves = [v for v, d in enumerate(deg) if d == 1]
             left, parent = list(deg), list(nx)  # the peel's copies
-            order = list(_leaves(deg))
-            for v in order:  # order grows as vertices become leaves
-                if v and left[v]:  # else v is vertex 0 or a root
-                    p = parent[v]
-                    parent[p] ^= v
-                    d = left[p] = left[p] - 1
-                    if d == 1:
-                        order.append(p)
+            order: list[int] = []  # the vertices the peel makes leaves, in turn
+            _peel(leaves, left, parent, order.append)
+            core_deg, core_nx = list(left), list(parent)  # as the first layer left them
+            if deg[0] == 1:  # leaf 0 is never peeled: take it off its neighbour's count
+                core_deg[nx[0]] -= 1
+            _peel(order, left, parent, order.append)  # order grows as it is read
             if max(left) < 2:
                 color = bytearray(n)
-                for v in reversed(order):
+                for v in chain(reversed(order), reversed(leaves)):
                     if v:
                         color[v] = color[parent[v]] ^ 1
                 del left, parent, order  # freed before the shapes are built
-                return (bytes(color), 1, True,
-                        _caterpillar_shape(self, deg, nx), _spider_shape(self, deg, nx))
+                return (bytes(color), 1, True, _caterpillar_shape(n, leaves, core_deg, core_nx),
+                        _spider_shape(n, leaves, deg, nx))
         adj = self.adjacency()
         color = bytearray(b"\x02") * n  # 2 = not yet reached
         components = 0
@@ -328,7 +335,7 @@ def parse_graph(text: str) -> Tree:
         raise GraphParseError(1, "missing header")
     if len(ends) // 2 != m:
         raise GraphParseError(header_line, f"header declares {m} edges, found {len(ends) // 2}")
-    ints = map((-1).__add__, ends)  # 0-based, made one at a time as Tree reads the pairs
+    ints = map(sub, ends, repeat(1))  # 0-based, made one at a time as Tree reads the pairs
     del ends  # so the 1-based list is freed when Tree has read it
     try:
         return Tree(n, zip(ints, ints))
@@ -465,9 +472,18 @@ class SpiderShape(_Shape):
         return chain.from_iterable(zip(chain(center, verts), verts) for verts in self.path_vertices)
 
 
-def _leaves(deg: list[int]) -> Iterator[int]:
-    """The vertices of degree 1, in ascending order."""
-    return compress(range(len(deg)), map((1).__eq__, deg))
+def _peel(vertices: Iterable[int], left: list[int], parent: list[int],
+          append: Callable[[int], None]) -> None:
+    """Peel each of the vertices but 0 that still has a neighbour: take it off
+    that neighbour's entries in left (degree) and parent (XOR), and append
+    the neighbour if that leaves it a leaf."""
+    for v in vertices:
+        if v and left[v]:  # else v is vertex 0 or a root
+            p = parent[v]
+            parent[p] ^= v
+            d = left[p] = left[p] - 1
+            if d == 1:
+                append(p)
 
 
 def recognize_caterpillar(t: Tree) -> CaterpillarShape | None:
@@ -481,28 +497,28 @@ def recognize_caterpillar(t: Tree) -> CaterpillarShape | None:
     return t._caterpillar
 
 
-def _caterpillar_shape(t: Tree, deg: list[int], nx: list[int]) -> CaterpillarShape | None:
-    """The caterpillar shape of the tree t, from its degrees and neighbour XORs."""
-    if t.n == 1:
+def _caterpillar_shape(n: int, leaves: list[int], core_deg: list[int],
+                       core_nx: list[int]) -> CaterpillarShape | None:
+    """The caterpillar shape of a tree on n vertices, from its leaves in
+    ascending order and each vertex's entries once the leaves are peeled: a
+    leaf keeps 1 and its neighbour, a non-leaf its non-leaf degree and the
+    XOR of its non-leaf neighbours."""
+    if n == 1:
         return CaterpillarShape((0,), ((),))
-    if t.n == 2:
+    if n == 2:
         return CaterpillarShape((0,), ((1,),))
-    parent = nx.__getitem__
-    leaves = sorted(_leaves(deg), key=parent)  # by neighbour, ascending within (stable)
+    # the non-leaves form a subtree, a path exactly when none has more than two non-leaf neighbours
+    if max(core_deg) > 2:
+        return None
+    parent = core_nx.__getitem__
+    leaves = sorted(leaves, key=parent)  # by neighbour, ascending within (stable)
     legs = {v: tuple(vlegs) for v, vlegs in groupby(leaves, parent)}  # in ascending v
-    # The non-leaves form a subtree, a path exactly when it has two ends; an
-    # end has one non-leaf neighbour, so at least one leg. Two or more
-    # non-leaves thus put legs on two vertices or more.
+    # each end of a path of two non-leaves or more has one non-leaf
+    # neighbour, so at least one leg: a single spine vertex is the only one with legs
     if len(legs) == 1:
         spine = list(legs)
     else:
-        ends = [v for v, vlegs in legs.items() if deg[v] - len(vlegs) == 1]
-        if len(ends) != 2:
-            return None
-        inner = list(nx)  # each non-leaf's XOR of its non-leaf neighbours
-        for leaf in leaves:
-            inner[nx[leaf]] ^= leaf
-        spine = _walk(inner, *ends)  # from the end with the smaller id
+        spine = _walk(core_nx, *(v for v in legs if core_deg[v] == 1))  # smaller end first
     return CaterpillarShape(tuple(spine), tuple(legs.get(v, ()) for v in spine))
 
 
@@ -518,13 +534,12 @@ def recognize_spider(t: Tree) -> SpiderShape | None:
     return t._spider
 
 
-def _spider_shape(t: Tree, deg: list[int], nx: list[int]) -> SpiderShape | None:
-    """The spider shape of the tree t, from its degrees and neighbour XORs."""
-    n = t.n
+def _spider_shape(n: int, leaves: list[int], deg: list[int], nx: list[int]) -> SpiderShape | None:
+    """The spider shape of a tree on n vertices, from its leaves, degrees and
+    neighbour XORs."""
     if n < 3:
         return None
-    leaves = _leaves(deg)
-    branches = n - deg.count(1) - deg.count(2)  # vertices of degree >= 3
+    branches = n - len(leaves) - deg.count(2)  # vertices of degree >= 3
     if branches > 1:
         return None
     if branches == 1:
@@ -532,7 +547,7 @@ def _spider_shape(t: Tree, deg: list[int], nx: list[int]) -> SpiderShape | None:
         # each arm is walked leaf to center, read outward, and sorted by its first vertex
         arms = sorted(tuple(_walk(nx, leaf, center)[-2::-1]) for leaf in leaves)
     else:  # a path: center at a most-balanced interior vertex, ties to the smaller id
-        path = _walk(nx, next(leaves), next(leaves))
+        path = _walk(nx, *leaves)
         i = min((n - 1) // 2, n // 2, key=path.__getitem__)  # the one or two most balanced
         center = path[i]
         arms = sorted((tuple(path[i - 1::-1]), tuple(path[i + 1:])))

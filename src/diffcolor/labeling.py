@@ -62,7 +62,12 @@ def differential_value(t: Graph, labeling: Labeling) -> int:
     if not ok:
         raise ValueError(f"invalid labeling: {why}")
     labels = labeling.labels
-    return min((abs(labels[u] - labels[v]) for u, v in t._pairs()), default=len(labels))
+    best = len(labels)
+    for u, v in t._pairs():
+        d = abs(labels[u] - labels[v])
+        if d < best:
+            best = d
+    return best
 
 
 class EvaluatedLabeling(Record):

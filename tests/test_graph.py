@@ -468,6 +468,59 @@ class TestVertexZeroInEveryRole:
         assert arm.center == 4 and arm.path_vertices == ((1, 2), (3, 0, 5), (6,))
 
 
+class TestRecognizersOnShuffledIds:
+    """The caterpillar test reads each non-leaf's non-leaf degree from the
+    peel's first layer, where leaf 0 is never peeled: both recognizers must
+    give the adjacency-list reference's shapes on shuffled ids, with vertex
+    0 in every role."""
+
+    TREES = {
+        "n3": path_graph(3),
+        "star": gen_spider([1] * 6)[0],
+        "double-star": gen_caterpillar([3, 4])[0],
+        "thin-double-star": gen_caterpillar([1, 1])[0],
+        "short-spider-3": gen_spider([2, 2, 2])[0],
+        "short-spider-7": gen_spider([2] * 7)[0],
+        "spider-one-long-arm": gen_spider([4, 1, 1, 1])[0],
+        "spider-two-long-arms": gen_spider([3, 1, 2, 1, 1])[0],
+        "spider-three-long-arms": gen_spider([2, 1, 2, 2])[0],
+        "caterpillar": gen_caterpillar([2, 0, 1, 0, 3])[0],
+    }
+
+    @pytest.mark.parametrize("tree", TREES.values(), ids=TREES.keys())
+    def test_matches_the_reference(self, tree):
+        rng = random.Random(30)
+        for _ in range(3):
+            shuffled_tree = shuffled(rng, tree)
+            for x in range(tree.n):  # 0 takes the place of each vertex in turn
+                t = _zero_swapped(shuffled_tree, x)
+                assert recognize_caterpillar(t) == reference_caterpillar_shape(t)
+                assert recognize_spider(t) == reference_spider_shape(t)
+
+    @pytest.mark.parametrize("lengths, caterpillar", [
+        ([1, 1, 1], True), ([4, 1, 1, 1], True), ([3, 1, 2, 1, 1], True),
+        ([2, 2, 2], False), ([2] * 7, False), ([2, 1, 2, 2], False)])
+    def test_spider_is_a_caterpillar_with_two_long_arms_at_most(self, lengths, caterpillar):
+        t = shuffled(random.Random(31), gen_spider(lengths)[0])
+        assert (recognize_caterpillar(t) is not None) == caterpillar
+        assert sorted(recognize_spider(t).path_lengths) == sorted(lengths)
+
+    def test_zero_as_leaf_of_a_spine_end(self):
+        # path 0-1-2-3-4: leaf 0 hangs on the end 1, whose non-leaf degree is 1
+        shape = recognize_caterpillar(path_graph(5))
+        assert shape.spine_vertices == (1, 2, 3)
+        assert shape.leg_vertices == ((0,), (), (4,))
+        # 0 and 5 are leaves of end 1, 6 of end 3: the spine is 1-2-3
+        t = Tree(7, ((0, 1), (5, 1), (1, 2), (2, 3), (3, 6), (2, 4)))
+        assert recognize_caterpillar(t).leg_vertices == ((0, 5), (4,), (6,))
+
+    def test_zero_as_center(self):
+        star = recognize_caterpillar(gen_spider([1] * 4)[0])
+        assert star.spine_vertices == (0,) and star.leg_vertices == ((1, 2, 3, 4),)
+        assert recognize_caterpillar(gen_spider([2] * 4)[0]) is None
+        assert recognize_spider(gen_spider([2] * 4)[0]).center == 0
+
+
 class TestRecognizeSpider:
     def test_k13(self):
         shape = recognize_spider(gen_spider([1, 1, 1])[0])

@@ -6,7 +6,8 @@ and on trees plus one edge, none of which is a caterpillar or a spider; of
 both recognizers against their adjacency-list reference on trees up to
 n ~ 2000; of every applicable scheme against its guarantee and the best
 bound on caterpillars and parity-uniform spiders up to n ~ 4000; and of
-mp_value against the best bound on spiders, regular caterpillars and paths."""
+mp_value against the best bound on spiders, regular caterpillars and paths;
+and of differential_value against the edge minimum on trees up to n = 60."""
 
 import random
 import re
@@ -331,6 +332,22 @@ def test_comments_and_line_breaks_keep_the_tree(case):
             GraphParseError, f"line {k}: malformed edge line 'e x y'")
     else:
         assert parse_graph(text) == tree
+
+
+@given(pruefer_trees(60), seeds)
+def test_differential_value_is_the_edge_minimum(tree, seed):
+    """The value of a random labeling is its smallest |label difference|
+    over the edges, n on the edgeless graph, and the same on a shape of the
+    tree as on the tree."""
+    labeling = Labeling(tuple(random.Random(seed).sample(range(1, tree.n + 1), tree.n)))
+    labels = labeling.labels
+    value = differential_value(tree, labeling)
+    if tree.m:
+        assert value == min(abs(labels[u] - labels[v]) for u, v in tree.edges)
+    assert differential_value(Tree(tree.n, ()), labeling) == tree.n
+    for shape in recognize_caterpillar(tree), recognize_spider(tree):
+        if shape is not None:
+            assert differential_value(shape, labeling) == value
 
 
 @given(relabeled(caterpillars() | spiders()), seeds)
