@@ -77,15 +77,11 @@ class Tree(Record):
     passes read the array.
 
     One structural pass (_structure) runs on first use and caches only its
-    results: the 2-coloring, the component count, bipartiteness and the
-    caterpillar and spider shapes. They take no part in ==, hash or repr.
-    On a graph with n - 1 edges the pass records each vertex's degree and
-    the XOR of its neighbours' ids, lists the leaves once, colors a tree by
-    peeling leaves toward vertex 0, and on a tree hands the leaves, the
-    lists and the entries the peel's first layer left to both shapes; the
-    lists are then dropped. degrees() counts the array afresh. Neighbour
-    lists are built only by adjacency(), for its callers and to color every
-    graph that is not a tree.
+    results, which take no part in ==, hash or repr: the 2-coloring, the
+    component count, bipartiteness and the caterpillar and spider shapes,
+    built unchecked (the range-checked edges and the full peel prove a
+    tree's ids are 0..n-1). degrees() counts the array afresh; adjacency()
+    alone builds neighbour lists, for its callers and to color non-trees.
     """
 
     _fields = ("n", "edges")
@@ -152,18 +148,16 @@ class Tree(Record):
         remaining neighbour's degree and XOR, so a peeled vertex keeps degree 1
         and an XOR entry holding that neighbour, its parent. A vertex whose
         last neighbour was peeled into it, left at degree 0, is a root and
-        stays. When the first layer, the leaves themselves, is peeled, both
-        copies are copied again (core_deg and core_nx), and a leaf 0, which is
-        never peeled, is taken off its neighbour's degree: a leaf then keeps 1
-        and its neighbour, a non-leaf its non-leaf degree and the XOR of its
-        non-leaf neighbours, which is all the caterpillar test and its spine
-        walk read. If no vertex keeps degree >= 2 at the end of the peel,
-        vertex 0 was the only root: the graph is a tree, colored in reverse
-        peel order from color[0] = 0, and the leaves, the first layer's copies
-        and deg and nx give both shapes before they are dropped. Every other
-        graph (a forest of several trees, a graph with a cycle) is colored by
-        one depth-first traversal of adjacency() from each component's
-        smallest vertex; the colors clash across an odd cycle.
+        stays. Once the first layer, the leaves, is peeled, both copies are
+        copied again (core_deg and core_nx), with a leaf 0, never peeled, taken
+        off its neighbour's degree: the caterpillar test reads these. If no
+        vertex keeps degree >= 2 at the end of the peel, vertex 0 was the only
+        root: the graph is a tree, colored in reverse peel order from
+        color[0] = 0, and both shapes are built from the leaves, the first
+        layer's copies and deg and nx, unchecked, before the lists are dropped.
+        Every other graph (a forest of several trees, a graph with a cycle) is
+        colored by one depth-first traversal of adjacency() from each
+        component's smallest vertex; the colors clash across an odd cycle.
         """
         n = self.n
         if self.m == n - 1:
@@ -375,7 +369,16 @@ def _check_vertices(*blocks: tuple[int, ...]) -> None:
 
 class _Shape(Record):
     """Base of the two tree shapes: a subclass gives n and _pairs(), the edges
-    streamed as (u, v) pairs like a Tree's; edges and to_tree() read them."""
+    streamed as (u, v) pairs like a Tree's; edges and to_tree() read them.
+    The public constructors check every field, the ids by _check_vertices."""
+
+    @classmethod
+    def _trusted(cls, *values):
+        """The shape with these field values, in field order, and no check: for
+        the structural pass and the generators, whose ids are 0..n-1 already."""
+        shape = cls.__new__(cls)
+        shape.__dict__.update(zip(cls._fields, values))
+        return shape
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -503,10 +506,8 @@ def _caterpillar_shape(n: int, leaves: list[int], core_deg: list[int],
     ascending order and each vertex's entries once the leaves are peeled: a
     leaf keeps 1 and its neighbour, a non-leaf its non-leaf degree and the
     XOR of its non-leaf neighbours."""
-    if n == 1:
-        return CaterpillarShape((0,), ((),))
-    if n == 2:
-        return CaterpillarShape((0,), ((1,),))
+    if n < 3:  # one spine vertex, 0, and the other vertex, if any, its leg
+        return CaterpillarShape._trusted((0,), (tuple(range(1, n)),))
     # the non-leaves form a subtree, a path exactly when none has more than two non-leaf neighbours
     if max(core_deg) > 2:
         return None
@@ -519,7 +520,7 @@ def _caterpillar_shape(n: int, leaves: list[int], core_deg: list[int],
         spine = list(legs)
     else:
         spine = _walk(core_nx, *(v for v in legs if core_deg[v] == 1))  # smaller end first
-    return CaterpillarShape(tuple(spine), tuple(legs.get(v, ()) for v in spine))
+    return CaterpillarShape._trusted(tuple(spine), tuple(legs.get(v, ()) for v in spine))
 
 
 def recognize_spider(t: Tree) -> SpiderShape | None:
@@ -536,32 +537,32 @@ def recognize_spider(t: Tree) -> SpiderShape | None:
 
 def _spider_shape(n: int, leaves: list[int], deg: list[int], nx: list[int]) -> SpiderShape | None:
     """The spider shape of a tree on n vertices, from its leaves, degrees and
-    neighbour XORs."""
-    if n < 3:
-        return None
+    neighbour XORs: each arm is walked once, leaf to center, and read outward,
+    and the arms are put in order of first vertex by one slot per vertex."""
     branches = n - len(leaves) - deg.count(2)  # vertices of degree >= 3
-    if branches > 1:
+    if n < 3 or branches > 1:
         return None
     if branches == 1:
         center = next(compress(range(n), map((2).__lt__, deg)))
-        # each arm is walked leaf to center, read outward, and sorted by its first vertex
-        arms = sorted(tuple(_walk(nx, leaf, center)[-2::-1]) for leaf in leaves)
     else:  # a path: center at a most-balanced interior vertex, ties to the smaller id
         path = _walk(nx, *leaves)
-        i = min((n - 1) // 2, n // 2, key=path.__getitem__)  # the one or two most balanced
-        center = path[i]
-        arms = sorted((tuple(path[i - 1::-1]), tuple(path[i + 1:])))
-    return SpiderShape(center, tuple(arms))
+        center = min(path[(n - 1) // 2], path[n // 2])  # the one or two most balanced
+    arms = [None] * n  # each arm at the slot of its first vertex
+    for leaf in leaves:
+        arm = _walk(nx, leaf, center)
+        arm.pop()  # the center
+        arm.reverse()
+        arms[arm[0]] = tuple(arm)
+    return SpiderShape._trusted(center, tuple(filter(None, arms)))
 
 
 def _walk(nx: list[int], leaf: int, stop: int) -> list[int]:
-    """The vertices from leaf to stop, both included, along vertices of
-    degree 2: each step XORs the vertex it came from out of nx."""
+    """The vertices from leaf to stop, both included, along vertices of degree 2."""
     walk = [leaf]
     prev, cur = leaf, nx[leaf]
     while cur != stop:
         walk.append(cur)
-        prev, cur = cur, nx[cur] ^ prev
+        prev, cur = cur, nx[cur] ^ prev  # nx[cur] with the vertex it came from XORed out
     walk.append(cur)
     return walk
 
@@ -605,7 +606,7 @@ def gen_caterpillar(leg_counts) -> tuple[Tree, CaterpillarShape]:
     s = len(counts)
     if s >= 2 and (counts[0] < 1 or counts[-1] < 1):
         raise ValueError("spine endpoints must have at least one leg")
-    shape = CaterpillarShape(tuple(range(s)), _id_blocks(s, counts))
+    shape = CaterpillarShape._trusted(tuple(range(s)), _id_blocks(s, counts))
     return shape.to_tree(), shape
 
 
@@ -618,7 +619,7 @@ def gen_spider(path_lengths) -> tuple[Tree, SpiderShape]:
         raise ValueError("path lengths must be non-empty")
     if any(x < 1 for x in lengths):
         raise ValueError("path lengths must be positive")
-    shape = SpiderShape(0, _id_blocks(1, lengths))
+    shape = SpiderShape._trusted(0, _id_blocks(1, lengths))
     return shape.to_tree(), shape
 
 

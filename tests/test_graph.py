@@ -6,12 +6,13 @@ import tracemalloc
 
 import pytest
 
-from diffcolor import (MAX_N, CaterpillarShape, GraphParseError,
-                       SizeLimitError, SpiderShape, Tree, bipartition_sizes,
-                       gen_caterpillar, gen_random_caterpillar,
+from diffcolor import (MAX_N, SCHEMES, CaterpillarShape, GraphParseError,
+                       NotApplicable, SizeLimitError, SpiderShape, Tree,
+                       bipartition_sizes, gen_caterpillar, gen_random_caterpillar,
                        gen_regular_caterpillar, gen_spider, label_auto,
                        mp_value, parse_graph, recognize_caterpillar,
-                       recognize_spider, upper_bound_report, write_graph)
+                       recognize_spider, run_scheme, upper_bound_report, write_graph)
+from diffcolor import graph
 from diffcolor.graph import _EdgeError
 from helpers import (length_multisets, parse_outcome, partitions, path_graph,
                      reference_caterpillar_shape, reference_coloring,
@@ -519,6 +520,77 @@ class TestRecognizersOnShuffledIds:
         assert star.spine_vertices == (0,) and star.leg_vertices == ((1, 2, 3, 4),)
         assert recognize_caterpillar(gen_spider([2] * 4)[0]) is None
         assert recognize_spider(gen_spider([2] * 4)[0]).center == 0
+
+
+def assert_public_twin(shape):
+    """The public constructor accepts shape's fields and gives the same record."""
+    twin = type(shape)(*shape._values())
+    assert twin == shape and hash(twin) == hash(shape) and repr(twin) == repr(shape)
+    counts = "leg_counts" if isinstance(shape, CaterpillarShape) else "path_lengths"
+    assert getattr(twin, counts) == getattr(shape, counts) and twin.n == shape.n
+
+
+class TestTrustedShapes:
+    """The structural pass and the generators build shapes with no id check,
+    so every shape they return must be one the public constructor, which
+    checks, accepts as it is; and that check must be the public path only."""
+
+    @pytest.mark.parametrize("tree", [*TestRecognizersOnShuffledIds.TREES.values(),
+                                      Tree(1, ()), Tree(2, ((0, 1),)), path_graph(6)],
+                             ids=[*TestRecognizersOnShuffledIds.TREES, "n1", "n2", "path-6"])
+    def test_recognized_shapes_pass_the_public_checks(self, tree):
+        rng = random.Random(30)
+        for _ in range(3):
+            shuffled_tree = shuffled(rng, tree)
+            for x in range(tree.n):
+                t = _zero_swapped(shuffled_tree, x)
+                for shape in (recognize_caterpillar(t), recognize_spider(t)):
+                    if shape is not None:
+                        assert_public_twin(shape)
+
+    def test_generated_shapes_pass_the_public_checks(self):
+        rng = random.Random(31)
+        shapes = [gen_caterpillar(counts)[1] for counts in ([0], [3], [1, 1], [2, 0, 1, 0, 3])]
+        shapes += [gen_regular_caterpillar(s, delta)[1] for s in (1, 4) for delta in (1, 3)]
+        shapes += [gen_random_caterpillar(rng, 12, 4)[1] for _ in range(20)]
+        shapes += [gen_spider(lengths)[1] for lengths in ([1], [2, 2], [1, 3, 3], [2] * 9)]
+        for shape in shapes:
+            assert_public_twin(shape)
+
+    FAMILIES = {  # the six large-trees families, at small n
+        "regular-cat": (gen_regular_caterpillar(40, 3)[0], "regular-cat"),
+        "sec53": (gen_caterpillar([1, 5] * 12 + [1])[0], "general-cat"),
+        "legless-cat": (gen_caterpillar([2, 0, 0, 3, 1, 0, 4, 0, 0, 0, 2, 1])[0], "general-cat"),
+        "even-spider": (gen_spider([30, 24, 18, 40])[0], "spider-even"),
+        "odd-spider": (gen_spider([31, 25, 19])[0], "spider-odd"),
+        "short-spider": (gen_spider([2] * 60)[0], "spider-even"),
+    }
+
+    @pytest.mark.parametrize("tree, scheme", FAMILIES.values(), ids=FAMILIES.keys())
+    def test_item_path_runs_no_id_check(self, monkeypatch, tree, scheme):
+        def check_vertices(*blocks):
+            raise AssertionError("_check_vertices ran")
+
+        monkeypatch.setattr(graph, "_check_vertices", check_vertices)
+        with pytest.raises(AssertionError, match="_check_vertices ran"):
+            CaterpillarShape((0,), ((1,),))  # the public path still checks
+        rng = random.Random(32)
+        for t in (shuffled(rng, tree) for _ in range(2)):
+            assert label_auto(t).scheme == scheme
+            applied = []
+            for name in SCHEMES:
+                try:
+                    applied.append(run_scheme(t, name).scheme)
+                except NotApplicable:
+                    pass
+            assert scheme in applied
+            assert upper_bound_report(t).best >= label_auto(t).value
+            assert mp_value(t) >= 1
+        for t, shape in (gen_caterpillar([1, 0, 2]), gen_regular_caterpillar(3, 2),
+                         gen_random_caterpillar(random.Random(33))):
+            assert recognize_caterpillar(t) == shape
+        t, shape = gen_spider([2, 2, 4])
+        assert recognize_spider(t) == shape
 
 
 class TestRecognizeSpider:

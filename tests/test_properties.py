@@ -4,8 +4,9 @@ permuted vertex ids; of the coloring and component count on random trees,
 forests and graphs with one cycle; of every layer on forests of several trees
 and on trees plus one edge, none of which is a caterpillar or a spider; of
 both recognizers against their adjacency-list reference on trees up to
-n ~ 2000; of every applicable scheme against its guarantee and the best
-bound on caterpillars and parity-uniform spiders up to n ~ 4000; and of
+n ~ 2000, and of the spider's arm order on spiders of 3-40 arms; of every
+applicable scheme against its guarantee and the best bound on caterpillars
+and parity-uniform spiders up to n ~ 4000; and of
 mp_value against the best bound on spiders, regular caterpillars and paths;
 and of differential_value against the edge minimum on trees up to n = 60."""
 
@@ -162,6 +163,16 @@ def large_spiders(draw):
 @given(relabeled(large_caterpillars() | large_spiders() | pruefer_trees(2000)))
 def test_recognizers_match_the_adjacency_reference(tree):
     assert recognize_caterpillar(tree) == reference_caterpillar_shape(tree)
+    assert recognize_spider(tree) == reference_spider_shape(tree)
+
+
+# 3-40 arms of lengths 1-60, about half of them of length 2
+many_armed_spiders = st.lists(st.just(2) | st.integers(1, 60), min_size=3, max_size=40).map(
+    lambda lengths: gen_spider(lengths)[0])
+
+
+@given(relabeled(many_armed_spiders))
+def test_spider_arms_in_order_of_first_vertex(tree):
     assert recognize_spider(tree) == reference_spider_shape(tree)
 
 
