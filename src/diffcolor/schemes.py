@@ -14,7 +14,9 @@ None, as on every graph that is not a connected tree), the scheme's draft (from
 that input to its labels and guarantee) and its optimality: "proved" when the
 guarantee is the proved optimum, "unknown" when it is only a lower bound.
 A draft lists the vertices in label order, and _number gives the k-th vertex
-of that list the number k.
+of that list the number k. The general caterpillar's marking lists its seven
+groups in number order: its MarkingState is their partition and its labels
+number their concatenation.
 A draft's own guard is the only statement of when its scheme applies: it
 raises NotApplicable (a ValueError) with the reason. run_scheme(t, name)
 reads the draft's input and runs one row; label_auto runs the first row that
@@ -215,10 +217,19 @@ class MarkingState(Record):
 def mark_caterpillar(shape: CaterpillarShape) -> MarkingState:
     """Run the marking phase and return the vertex-level groups, validated;
     validate checks the groups without copying them."""
+    state = _marking(shape)[1]
+    state.validate(shape)
+    return state
+
+
+def _marking(shape: CaterpillarShape) -> tuple[tuple, MarkingState]:
+    """The marking phase by spine position, unvalidated: the seven groups in
+    number order, each listed in label order, and the MarkingState they form."""
     s, n = shape.s, shape.n
     counts = shape.leg_counts
     # Alternate sides along the spine, then scan right to left for the vertex
-    # whose removal balances the two sides (its legs fill the remainder).
+    # whose removal balances the two sides (its legs fill the remainder); if
+    # none does, validate refuses the state, as its balance rule is this scan's.
     low_side = [i % 2 == 0 for i in range(s)]
     # The high side holds the other n - lows vertices.
     lows = sum(1 if low_side[i] else counts[i] for i in range(s))
@@ -228,8 +239,6 @@ def mark_caterpillar(shape: CaterpillarShape) -> MarkingState:
             break
         low_side[mid] = not low_side[mid]
         lows = excl_lows + (1 if low_side[mid] else counts[mid])
-    else:
-        raise SchemeError("balance condition never achieved along the spine")
 
     # Legless spine vertices become pseudo-legs of their right neighbor unless
     # they own one already, except that the middle vertex adopts its legless
@@ -242,29 +251,39 @@ def mark_caterpillar(shape: CaterpillarShape) -> MarkingState:
     for i in range(s - 1):
         if i != mid and counts[i] == 0 and i - 1 not in pseudo_owner:
             pseudo_owner[i] = mid if i == mid + 1 else i + 1
+    # owner -> the pseudo-leg that left the spine for it (each owns at most one)
+    adopted = {o: i for i, o in pseudo_owner.items() if o != mid}
 
-    # Each position but mid keeps its spine slot, its legs going to the other
-    # side, or is a pseudo-leg of an owner other than mid, on the side
-    # opposite that owner's slot. Each group is built once, as its frozenset.
+    # Walk the spine slots cyclically away from the middle vertex, oriented
+    # so its low spine neighbor is the walk's first vertex and its high
+    # neighbor the last. Numbers follow the walk, so those neighbors take the
+    # innermost spine numbers, low/high ranks stay aligned along the spine
+    # (in particular across pseudo-legs, whose two spine neighbors share a
+    # side) and every adjacent difference meets the guarantee. A one-vertex
+    # spine has an empty walk either way.
+    walk = [j for j in chain(range(mid + 1, s), range(mid)) if pseudo_owner.get(j, mid) == mid]
+    if low_side[mid - 1] if mid else (s > 1 and not low_side[1]):
+        walk.reverse()  # the leftward walk is the rightward one reversed
+    low_owners = [j for j in walk if low_side[j]]
+    high_owners = [j for j in walk if not low_side[j]]
     spine, legs = shape.spine_vertices, shape.leg_vertices
-    slots = [i for i in range(s) if i != mid and pseudo_owner.get(i, mid) == mid]
-    moved = [i for i, o in pseudo_owner.items() if o != mid]
-    low_spine = frozenset(spine[i] for i in slots if low_side[i])
-    high_spine = frozenset(spine[i] for i in slots if not low_side[i])
-    low_legs = frozenset(chain(*(legs[i] for i in slots if not low_side[i]),
-                               (spine[i] for i in moved if not low_side[pseudo_owner[i]])))
-    high_legs = frozenset(chain(*(legs[i] for i in slots if low_side[i]),
-                                (spine[i] for i in moved if low_side[pseudo_owner[i]])))
+
+    def group(j):  # owner j's legs, then the pseudo-leg it adopted
+        return (*legs[j], spine[adopted[j]]) if j in adopted else legs[j]
+
+    # Legs fill the mid-range outward from ceil(n/2), grouped by owner: low
+    # owners' legs upward in walk order, high owners' downward in reverse.
+    low_spine = [spine[j] for j in low_owners]
+    low_legs = [*chain.from_iterable(map(reversed, map(group, high_owners)))]
+    high_legs = [*chain.from_iterable(map(group, low_owners))]
+    high_spine = [spine[j] for j in high_owners]
     low_mid_count = (n + 1) // 2 - len(low_spine) - len(low_legs) - 1
-    high_mid_count = n // 2 - len(high_spine) - len(high_legs)
-    if not (0 <= low_mid_count and 0 <= high_mid_count
-            and low_mid_count + high_mid_count == counts[mid]):
-        raise SchemeError("middle-leg split sizes fall outside 0..legs(middle)")
-    state = MarkingState(low_spine, high_spine, spine[mid], low_legs, high_legs,
-                         tuple(legs[mid][:low_mid_count]), tuple(legs[mid][low_mid_count:]),
+    groups = (tuple(legs[mid][:low_mid_count]), low_spine, low_legs, (spine[mid],),
+              high_legs, high_spine, tuple(legs[mid][low_mid_count:]))
+    state = MarkingState(frozenset(low_spine), frozenset(high_spine), spine[mid],
+                         frozenset(low_legs), frozenset(high_legs), groups[0], groups[-1],
                          tuple(sorted((spine[i], spine[o]) for i, o in pseudo_owner.items())))
-    state.validate(shape)
-    return state
+    return groups, state
 
 
 def label_general_caterpillar(shape: CaterpillarShape) -> SchemeResult:
@@ -273,10 +292,12 @@ def label_general_caterpillar(shape: CaterpillarShape) -> SchemeResult:
     Marking picks a middle spine vertex splitting the rest evenly, turns
     legless spine vertices into pseudo-legs of a spine neighbor, and splits
     the middle vertex's legs between the extreme low and extreme high
-    numbers. Labeling walks the spine cyclically away from the middle vertex,
-    oriented so that its low spine neighbor comes first, handing low spine
-    slots ascending low numbers and high spine slots ascending high numbers
-    in walk order, then fills the mid-range with the legs, grouped by owner.
+    numbers. It walks the spine cyclically away from the middle vertex,
+    oriented so that its low spine neighbor comes first, and lists its seven
+    groups in number order: the low middle legs, the low spine slots in walk
+    order, the legs of the high slots grouped by owner, the middle vertex,
+    the legs of the low slots, the high spine slots in walk order and the
+    high middle legs. The labels number that list from 1 to n.
     """
     return _finish("general-cat", shape, *_general_cat(shape))
 
@@ -284,40 +305,9 @@ def label_general_caterpillar(shape: CaterpillarShape) -> SchemeResult:
 def _general_cat(shape: CaterpillarShape) -> Draft:
     if shape.n < 2:
         raise NotApplicable("general caterpillar scheme needs n >= 2")
-    s = shape.s
-    spine, legs = shape.spine_vertices, shape.leg_vertices
-    state = mark_caterpillar(shape)
-    # A spine vertex other than the middle one that is in neither group is a pseudo-leg.
-    low, high = state.low_spine, state.high_spine
-    mid = spine.index(state.middle)
-
-    # Walk the spine cyclically away from the middle vertex, oriented so its
-    # low spine neighbor is the walk's first vertex and its high neighbor the
-    # last; the marking puts the two on opposite sides. Numbers follow the
-    # walk, so those neighbors take the innermost spine numbers, low/high
-    # ranks stay aligned along the spine (in particular across pseudo-legs,
-    # whose two spine neighbors share a side) and every adjacent difference
-    # meets the guarantee. A one-vertex spine has an empty walk either way.
-    walk = [*range(mid + 1, s), *range(mid)]
-    low_on_left = (spine[mid - 1] in low) if mid else (s > 1 and spine[1] in high)
-    if low_on_left:  # the leftward walk is the rightward one reversed
-        walk.reverse()
-    low_owners = [j for j in walk if spine[j] in low]
-    high_owners = [j for j in walk if spine[j] in high]
-
-    # owner -> the pseudo-leg that left the spine for it (each owns at most one)
-    pseudo_legs = {o: v for v, o in state.pseudo_leg_owner if v not in low and v not in high}
-
-    def group(j):  # owner j's legs, then the pseudo-leg it adopted
-        return (*legs[j], pseudo_legs[spine[j]]) if spine[j] in pseudo_legs else legs[j]
-
-    # Legs fill the mid-range outward from ceil(n/2), grouped by owner: low
-    # owners' legs upward in walk order, high owners' downward in reverse.
-    order = chain(state.middle_low_legs, (spine[j] for j in low_owners),
-                  chain.from_iterable(map(reversed, map(group, high_owners))), (state.middle,),
-                  chain.from_iterable(map(group, low_owners)), (spine[j] for j in high_owners),
-                  state.middle_high_legs)
-    return _number(shape.n, order), (shape.n + 1) // 2 - shape.delta - 2
+    groups, state = _marking(shape)
+    state.validate(shape)
+    return _number(shape.n, chain.from_iterable(groups)), (shape.n + 1) // 2 - shape.delta - 2
 
 
 def mp_value(t: Tree) -> int:

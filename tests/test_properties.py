@@ -370,7 +370,10 @@ def test_complement_keeps_the_value(tree, seed):
 @given(relabeled(caterpillars()))
 def test_general_cat_labels_follow_the_marking(tree):
     """The middle vertex gets ceil(n/2), the three low groups smaller numbers
-    and the three high groups larger ones (every drawn caterpillar has n >= 2)."""
+    and the three high groups larger ones (every drawn caterpillar has n >= 2).
+    More exactly, the seven groups take consecutive runs of numbers in label
+    order: middle_low_legs 1..a, then the low spine, the low legs, the
+    middle, the high legs, the high spine and middle_high_legs, ending at n."""
     shape = recognize_caterpillar(tree)
     state = mark_caterpillar(shape)
     labels = label_general_caterpillar(shape).labeling.labeling.labels
@@ -380,3 +383,9 @@ def test_general_cat_labels_follow_the_marking(tree):
                for v in (*state.low_spine, *state.low_legs, *state.middle_low_legs))
     assert all(labels[v] > middle
                for v in (*state.high_spine, *state.high_legs, *state.middle_high_legs))
+    first = 1
+    for group in (state.middle_low_legs, state.low_spine, state.low_legs, (state.middle,),
+                  state.high_legs, state.high_spine, state.middle_high_legs):
+        assert sorted(labels[v] for v in group) == list(range(first, first + len(group)))
+        first += len(group)
+    assert first == tree.n + 1

@@ -262,13 +262,13 @@ class TestMarkingCheck:
 
     def test_labeler_marks_once(self, monkeypatch):
         calls = []
-        mark = schemes.mark_caterpillar
+        mark = schemes._marking
 
         def counting(shape):
             calls.append(shape)
             return mark(shape)
 
-        monkeypatch.setattr(schemes, "mark_caterpillar", counting)
+        monkeypatch.setattr(schemes, "_marking", counting)
         _, shape = gen_caterpillar([2, 0, 0, 1, 0, 3])
         label_general_caterpillar(shape)
         assert calls == [shape]
