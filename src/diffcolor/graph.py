@@ -77,11 +77,10 @@ class Tree(Record):
     passes read the array.
 
     One structural pass (_structure) runs on first use and caches only its
-    results, which take no part in ==, hash or repr: the 2-coloring, the
-    component count, bipartiteness and the caterpillar and spider shapes,
-    built unchecked (the range-checked edges and the full peel prove a
-    tree's ids are 0..n-1). degrees() counts the array afresh; adjacency()
-    alone builds neighbour lists, for its callers and to color non-trees.
+    tuple, outside ==, hash and repr; component_count(), bipartition_sizes,
+    recognize_caterpillar and recognize_spider index it directly. degrees()
+    counts the array afresh; adjacency() alone builds neighbour lists, for
+    its callers and to color non-trees.
     """
 
     _fields = ("n", "edges")
@@ -137,9 +136,10 @@ class Tree(Record):
 
     @cached_property
     def _structure(self) -> tuple[bytes, int, bool, CaterpillarShape | None, SpiderShape | None]:
-        """(colors, component count, bipartite?, caterpillar, spider) from one
-        pass; the smallest vertex of each component gets color 0, and the
-        shapes are None off connected trees.
+        """(colors, components, bipartite, caterpillar, spider), from one pass: a
+        color byte per vertex, 0 at each component's smallest vertex; the
+        component count; False if the colors clash across an odd cycle; the
+        caterpillar and the spider shape, each None off connected trees.
 
         A graph with n - 1 edges gets each vertex's degree and the XOR of its
         neighbours' ids (deg and nx, locals of this pass) and one list of its
@@ -152,12 +152,12 @@ class Tree(Record):
         copied again (core_deg and core_nx), with a leaf 0, never peeled, taken
         off its neighbour's degree: the caterpillar test reads these. If no
         vertex keeps degree >= 2 at the end of the peel, vertex 0 was the only
-        root: the graph is a tree, colored in reverse peel order from
-        color[0] = 0, and both shapes are built from the leaves, the first
-        layer's copies and deg and nx, unchecked, before the lists are dropped.
-        Every other graph (a forest of several trees, a graph with a cycle) is
-        colored by one depth-first traversal of adjacency() from each
-        component's smallest vertex; the colors clash across an odd cycle.
+        root: the graph is a tree, colored in reverse peel order from vertex 0
+        at color 0, and both shapes are built from the leaves, the first layer's
+        copies and deg and nx before the lists are dropped, unchecked, since
+        the range-checked edges and the full peel prove the ids are 0..n-1. Any
+        other graph is colored by one depth-first traversal of adjacency() from
+        each component's smallest vertex.
         """
         n = self.n
         if self.m == n - 1:
@@ -206,18 +206,6 @@ class Tree(Record):
             root = color.find(2, root + 1)
         return bytes(color), components, bipartite, None, None
 
-    @property
-    def _coloring(self) -> tuple[bytes, int, bool]:
-        return self._structure[:3]
-
-    @property
-    def _caterpillar(self) -> CaterpillarShape | None:
-        return self._structure[3]
-
-    @property
-    def _spider(self) -> SpiderShape | None:
-        return self._structure[4]
-
     def adjacency(self) -> list[list[int]]:
         """Neighbor lists, built afresh on each call; the caller may modify them."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
@@ -233,7 +221,7 @@ class Tree(Record):
         return deg
 
     def component_count(self) -> int:
-        return self._coloring[1]
+        return self._structure[1]
 
     def is_connected(self) -> bool:
         # fewer than n - 1 edges cannot connect n vertices: no O(n) traversal
@@ -497,7 +485,7 @@ def recognize_caterpillar(t: Tree) -> CaterpillarShape | None:
     first. Degenerate cases: n=1 -> one spine vertex with no legs; n=2 -> the
     smaller id is the spine vertex, the other its leg.
     """
-    return t._caterpillar
+    return t._structure[3]
 
 
 def _caterpillar_shape(n: int, leaves: list[int], core_deg: list[int],
@@ -532,7 +520,7 @@ def recognize_spider(t: Tree) -> SpiderShape | None:
     p=2, centered at a most-balanced interior vertex (ties -> smaller id).
     Single vertices and single edges are rejected.
     """
-    return t._spider
+    return t._structure[4]
 
 
 def _spider_shape(n: int, leaves: list[int], deg: list[int], nx: list[int]) -> SpiderShape | None:
@@ -642,7 +630,7 @@ def gen_random_caterpillar(rng, max_spine: int = 30,
 
 def bipartition_sizes(t: Tree) -> tuple[int, int]:
     """Sizes of the two color classes of a bipartite graph, larger first."""
-    colors, _, bipartite = t._coloring
+    colors, _, bipartite, _, _ = t._structure
     if not bipartite:
         raise ValueError("graph contains an odd cycle and is not bipartite")
     ones = colors.count(1)

@@ -149,7 +149,7 @@ def exact_dc(t: Tree, *, limit_n: int = DEFAULT_LIMIT_N,
     deadline = _deadline(started, timeout_ms)
     if t.m == 0:
         return ExactResult(t.n, Labeling.identity(t.n), 0, 0)
-    if t.n >= 2 and t.is_connected():
+    if t.is_connected():
         start = upper_bound_report(t).best
     else:
         start = t.n - 1

@@ -1,6 +1,6 @@
 """The free-tree atlas (helpers.free_trees) against known counts and against
 the independent Pruefer enumeration (helpers.all_trees), and as ground truth
-for the values that bracket the optimum."""
+for the values that bracket the optimum and for the exact solver's totals."""
 
 import pytest
 
@@ -39,3 +39,23 @@ def test_values_bracket_the_optimum(n):
         except NotApplicable:
             continue
         assert value <= dc
+
+
+# n: (trees, sum of exact_dc(t).dc, sum of exact_dc(t).nodes) over free_trees(n).
+EXACT_TOTALS = {
+    2: (1, 1, 2), 3: (1, 1, 3), 4: (2, 3, 8), 5: (3, 5, 15), 6: (6, 14, 58),
+    7: (11, 29, 79), 8: (23, 74, 3_518), 9: (47, 169, 23_328), 10: (106, 444, 330_146),
+}
+
+
+@pytest.mark.parametrize("n", sorted(EXACT_TOTALS))
+def test_exact_totals(n):
+    """The exact solver's answers and cost over every free tree with n <= 10.
+
+    The dc total must never change: it is the optimum. The nodes total is the
+    search's cost; a change that moves a bound the search starts from, or the
+    search itself, re-pins it here and states the old and new totals in
+    CHANGES.md."""
+    results = [exact_dc(t) for t in free_trees(n)]
+    got = (len(results), sum(r.dc for r in results), sum(r.nodes for r in results))
+    assert got == EXACT_TOTALS[n]

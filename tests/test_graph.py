@@ -429,8 +429,7 @@ def test_cached_shapes_are_none_off_connected_trees(tree):
     """The cached shapes carry the connected-tree guard themselves, so a
     direct reader gets None, as the recognizers do, not an error from the
     code that builds a shape."""
-    assert tree._caterpillar is None
-    assert tree._spider is None
+    assert tree._structure[3:] == (None, None)
 
 
 def _zero_swapped(tree, x):
@@ -822,7 +821,7 @@ class TestOneColoringRule:
         traversals = []
         adjacency = Tree.adjacency
         monkeypatch.setattr(Tree, "adjacency", lambda t: traversals.append(t) or adjacency(t))
-        got_colors, got_components, got_bipartite = graph._coloring
+        got_colors, got_components, got_bipartite = graph._structure[:3]
         assert (got_components, got_bipartite) == (components, bipartite)
         if bipartite:
             assert list(got_colors) == colors

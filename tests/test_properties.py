@@ -113,12 +113,12 @@ def test_coloring_matches_the_reference_search(tree):
     if bipartite:
         ones = colors.count(1)
         assert bipartition_sizes(tree) == (max(tree.n - ones, ones), min(tree.n - ones, ones))
-        assert list(tree._coloring[0]) == colors
+        assert list(tree._structure[0]) == colors
     else:
         with pytest.raises(ValueError, match="odd cycle"):
             bipartition_sizes(tree)
     if tree.is_forest():
-        peeled = tree._coloring[0]
+        peeled = tree._structure[0]
         assert all(peeled[u] != peeled[v] for u, v in tree.edges)
     assert tree.degrees() == [len(nbrs) for nbrs in tree.adjacency()]
 
