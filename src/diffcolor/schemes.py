@@ -14,9 +14,9 @@ None, as on every graph that is not a connected tree), the scheme's draft (from
 that input to its labels and guarantee) and its optimality: "proved" when the
 guarantee is the proved optimum, "unknown" when it is only a lower bound.
 A draft lists the vertices in label order, and _number gives the k-th vertex
-of that list the number k. The general caterpillar's marking lists its seven
-groups in number order: its MarkingState is their partition and its labels
-number their concatenation.
+of that list the number k. The general caterpillar's draft reaches the marking
+only through mark_caterpillar: its list is the concatenation of the
+MarkingState's seven groups, tuples in label order, in groups()'s number order.
 A draft's own guard is the only statement of when its scheme applies: it
 raises NotApplicable (a ValueError) with the reason. run_scheme(t, name)
 reads the draft's input and runs one row; label_auto runs the first row that
@@ -177,27 +177,31 @@ def _spider_odd(shape: SpiderShape) -> Draft:
 class MarkingState(Record):
     """Marking-phase outcome for the general caterpillar scheme.
 
-    The seven groups partition the vertices. middle receives ceil(n/2);
-    low_spine / low_legs / middle_low_legs receive the numbers below it and
-    high_spine / high_legs / middle_high_legs the numbers above it. Legless
-    spine vertices appear in pseudo_leg_owner, mapped to the spine vertex
-    that adopted them.
+    The seven groups partition the vertices, each a tuple in label order;
+    groups() lists them in number order. middle receives ceil(n/2), low_spine
+    / low_legs / middle_low_legs the numbers below it and high_spine /
+    high_legs / middle_high_legs those above it. Legless spine vertices
+    appear in pseudo_leg_owner, mapped to the spine vertex that adopted them.
     """
 
     _fields = ("low_spine", "high_spine", "middle", "low_legs", "high_legs",
                "middle_low_legs", "middle_high_legs", "pseudo_leg_owner")
 
+    def groups(self) -> tuple[tuple[int, ...], ...]:
+        return (self.middle_low_legs, self.low_spine, self.low_legs, (self.middle,),
+                self.high_legs, self.high_spine, self.middle_high_legs)
+
     def validate(self, shape: CaterpillarShape) -> None:
         """Check the partition, balance, low-side and high-side rules, in
         that order. The groups are read in place, not copied: one slot per
-        vertex holds the number of the group that took it, so a vertex in no
-        group, in two groups or outside 0..n-1 breaks the partition, and a
-        middle leg listed twice within its group does not."""
+        vertex holds the number of the group that took it, so a vertex that
+        is not an int, is in no group or two, or lies outside 0..n-1 breaks
+        the partition; one listed twice within its group breaks a side total."""
         n = shape.n
-        groups = (self.low_spine, self.high_spine, (self.middle,), self.low_legs,
-                  self.high_legs, self.middle_low_legs, self.middle_high_legs)
         taken = [0] * n
-        for number, group in enumerate(groups, start=1):
+        for number, group in enumerate(self.groups(), start=1):
+            if not set(map(type, group)) <= {int}:  # a bool is no vertex either
+                raise SchemeError("marking groups do not partition the vertices")
             for v in group:
                 if not 0 <= v < n or taken[v] not in (0, number):
                     raise SchemeError("marking groups do not partition the vertices")
@@ -215,16 +219,16 @@ class MarkingState(Record):
 
 
 def mark_caterpillar(shape: CaterpillarShape) -> MarkingState:
-    """Run the marking phase and return the vertex-level groups, validated;
-    validate checks the groups without copying them."""
-    state = _marking(shape)[1]
+    """Run the marking phase and return its MarkingState, validated: the one
+    entry point to the marking, which the general caterpillar labeler uses."""
+    state = _marking(shape)
     state.validate(shape)
     return state
 
 
-def _marking(shape: CaterpillarShape) -> tuple[tuple, MarkingState]:
-    """The marking phase by spine position, unvalidated: the seven groups in
-    number order, each listed in label order, and the MarkingState they form."""
+def _marking(shape: CaterpillarShape) -> MarkingState:
+    """The marking phase by spine position, unvalidated: one MarkingState
+    whose groups are the tuples the phase builds, each in label order."""
     s, n = shape.s, shape.n
     counts = shape.leg_counts
     # Alternate sides along the spine, then scan right to left for the vertex
@@ -273,17 +277,14 @@ def _marking(shape: CaterpillarShape) -> tuple[tuple, MarkingState]:
 
     # Legs fill the mid-range outward from ceil(n/2), grouped by owner: low
     # owners' legs upward in walk order, high owners' downward in reverse.
-    low_spine = [spine[j] for j in low_owners]
-    low_legs = [*chain.from_iterable(map(reversed, map(group, high_owners)))]
-    high_legs = [*chain.from_iterable(map(group, low_owners))]
-    high_spine = [spine[j] for j in high_owners]
+    low_spine = tuple(spine[j] for j in low_owners)
+    low_legs = tuple(chain.from_iterable(map(reversed, map(group, high_owners))))
+    high_legs = tuple(chain.from_iterable(map(group, low_owners)))
+    high_spine = tuple(spine[j] for j in high_owners)
     low_mid_count = (n + 1) // 2 - len(low_spine) - len(low_legs) - 1
-    groups = (tuple(legs[mid][:low_mid_count]), low_spine, low_legs, (spine[mid],),
-              high_legs, high_spine, tuple(legs[mid][low_mid_count:]))
-    state = MarkingState(frozenset(low_spine), frozenset(high_spine), spine[mid],
-                         frozenset(low_legs), frozenset(high_legs), groups[0], groups[-1],
-                         tuple(sorted((spine[i], spine[o]) for i, o in pseudo_owner.items())))
-    return groups, state
+    return MarkingState(low_spine, high_spine, spine[mid], low_legs, high_legs,
+                        tuple(legs[mid][:low_mid_count]), tuple(legs[mid][low_mid_count:]),
+                        tuple(sorted((spine[i], spine[o]) for i, o in pseudo_owner.items())))
 
 
 def label_general_caterpillar(shape: CaterpillarShape) -> SchemeResult:
@@ -305,9 +306,8 @@ def label_general_caterpillar(shape: CaterpillarShape) -> SchemeResult:
 def _general_cat(shape: CaterpillarShape) -> Draft:
     if shape.n < 2:
         raise NotApplicable("general caterpillar scheme needs n >= 2")
-    groups, state = _marking(shape)
-    state.validate(shape)
-    return _number(shape.n, chain.from_iterable(groups)), (shape.n + 1) // 2 - shape.delta - 2
+    order = chain.from_iterable(mark_caterpillar(shape).groups())
+    return _number(shape.n, order), (shape.n + 1) // 2 - shape.delta - 2
 
 
 def mp_value(t: Tree) -> int:

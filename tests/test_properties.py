@@ -12,6 +12,7 @@ and of differential_value against the edge minimum on trees up to n = 60."""
 
 import random
 import re
+from itertools import chain
 
 import pytest
 from hypothesis import given
@@ -373,7 +374,8 @@ def test_general_cat_labels_follow_the_marking(tree):
     and the three high groups larger ones (every drawn caterpillar has n >= 2).
     More exactly, the seven groups take consecutive runs of numbers in label
     order: middle_low_legs 1..a, then the low spine, the low legs, the
-    middle, the high legs, the high spine and middle_high_legs, ending at n."""
+    middle, the high legs, the high spine and middle_high_legs, ending at n;
+    so numbering their concatenation from 1 gives exactly the labels."""
     shape = recognize_caterpillar(tree)
     state = mark_caterpillar(shape)
     labels = label_general_caterpillar(shape).labeling.labeling.labels
@@ -389,3 +391,4 @@ def test_general_cat_labels_follow_the_marking(tree):
         assert sorted(labels[v] for v in group) == list(range(first, first + len(group)))
         first += len(group)
     assert first == tree.n + 1
+    assert [labels[v] for v in chain.from_iterable(state.groups())] == list(range(1, tree.n + 1))

@@ -27,12 +27,11 @@ RECORDS = [
      "labeling=Labeling(labels=(2, 1, 3)), value=1), guarantee=1, "
      "optimal='proved')"),
     (MarkingState,
-     dict(low_spine=frozenset({0}), high_spine=frozenset({1}), middle=2,
-          low_legs=frozenset(), high_legs=frozenset({3}), middle_low_legs=(4,),
-          middle_high_legs=(5,), pseudo_leg_owner=((1, 2),)),
-     "MarkingState(low_spine=frozenset({0}), high_spine=frozenset({1}), middle=2, "
-     "low_legs=frozenset(), high_legs=frozenset({3}), middle_low_legs=(4,), "
-     "middle_high_legs=(5,), pseudo_leg_owner=((1, 2),))"),
+     dict(low_spine=(0,), high_spine=(1,), middle=2, low_legs=(), high_legs=(3,),
+          middle_low_legs=(4,), middle_high_legs=(5,), pseudo_leg_owner=((1, 2),)),
+     "MarkingState(low_spine=(0,), high_spine=(1,), middle=2, low_legs=(), "
+     "high_legs=(3,), middle_low_legs=(4,), middle_high_legs=(5,), "
+     "pseudo_leg_owner=((1, 2),))"),
     (BoundReport, dict(entries=(("thm1", 2), ("thm3", 2))),
      "BoundReport(entries=(('thm1', 2), ('thm3', 2)))"),
     (ExactResult, dict(dc=2, witness=Labeling((1, 3, 2)), nodes=7, millis=0),

@@ -212,8 +212,7 @@ class TestGeneralCaterpillar:
 
 
 # mark_caterpillar of gen_caterpillar([3, 3]) (n = 8), field by field
-MARKED_3_3 = dict(low_spine=frozenset({0}), high_spine=frozenset(), middle=1,
-                  low_legs=frozenset(), high_legs=frozenset({2, 3, 4}),
+MARKED_3_3 = dict(low_spine=(0,), high_spine=(), middle=1, low_legs=(), high_legs=(2, 3, 4),
                   middle_low_legs=(5, 6), middle_high_legs=(7,), pseudo_leg_owner=())
 
 
@@ -233,7 +232,12 @@ class TestMarkingCheck:
          "violates the balance condition"),
         (dict(middle_low_legs=(5, 6, 7), middle_high_legs=()), "low-side total"),
         (dict(middle_high_legs=(7, 7)), "high-side total"),
-    ], ids=["partition", "outside-0..n-1", "balance", "low-side", "high-side"])
+        (dict(low_spine=(False,)), "do not partition the vertices"),
+        (dict(low_spine=(0.0,)), "do not partition the vertices"),
+        (dict(middle=None), "do not partition the vertices"),
+        (dict(middle_high_legs=("a",)), "do not partition the vertices"),
+    ], ids=["partition", "outside-0..n-1", "balance", "low-side", "high-side",
+            "bool-vertex", "float-vertex", "none-vertex", "str-vertex"])
     def test_each_rule_raises(self, changes, message):
         _, shape = gen_caterpillar([3, 3])
         with pytest.raises(SchemeError, match=message):
@@ -590,6 +594,18 @@ def test_general_cat_memory_tracks_its_output():
     recognize_spider(tree)
     with small_peak(200 * tree.n):
         assert label_auto(tree).scheme == "general-cat"
+
+
+def test_general_cat_keeps_one_marking():
+    """run_scheme(t, "general-cat") on a relabeled legless caterpillar of
+    about 1e5 vertices, recognition cached: the marking is one MarkingState
+    whose tuples are the list the labels number, so the traced peak stays
+    under 80 bytes per vertex (about 61; a second copy of the four spine and
+    leg groups, as sets, would add about 50)."""
+    tree = _large_tree("legless-cat", random.Random(5), 100_000)
+    recognize_caterpillar(tree)  # cached before tracing starts
+    with small_peak(80 * tree.n):
+        assert run_scheme(tree, "general-cat").scheme == "general-cat"
 
 
 @pytest.mark.parametrize("lengths", [[2] * 25000 + [50000], [1] * 25000 + [50001]],
